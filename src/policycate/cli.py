@@ -48,13 +48,20 @@ def _out_dir(args, cfg):
     raise ConfigError("no output location: pass --out or set output.dir in the config")
 
 
+def _flag(*names, **kwargs):
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON experiment configuration")
-    common.add_argument("--out", help="output file or directory")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--replications", type=int, help="override replication count")
-    common.add_argument("--jobs", type=int, default=1, help="parallel replication workers")
+    # each subcommand takes only the flags it acts on; argparse rejects the
+    # rest with exit code 2
+    config = _flag("--config", help="JSON experiment configuration")
+    out = _flag("--out", help="output file or directory")
+    seed = _flag("--seed", type=int, help="override the config seed")
+    replications = _flag("--replications", type=int, help="override replication count")
+    jobs = _flag("--jobs", type=int, default=1, help="parallel replication workers")
 
     parser = argparse.ArgumentParser(
         prog="policycate",
@@ -62,24 +69,28 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate experiment CSVs")
+    p = sub.add_parser(
+        "simulate", parents=[config, out, seed, replications], help="generate experiment CSVs"
+    )
     p.add_argument("--with-oracle", action="store_true", help="append the tau_true column")
 
-    p = sub.add_parser("fit", parents=[common], help="fit one model to a dataset CSV")
+    p = sub.add_parser("fit", parents=[config, out], help="fit one model to a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV path")
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a model on oracle draws")
+    p = sub.add_parser(
+        "evaluate", parents=[config, out, replications], help="score a model on oracle draws"
+    )
     p.add_argument(
         "--model",
         required=True,
         help="model JSON path or builtin tag: oracle | mail | no_mail | ols",
     )
 
-    p = sub.add_parser("cv", parents=[common], help="cross-validate the threshold spread")
+    p = sub.add_parser("cv", parents=[config, out], help="cross-validate the threshold spread")
     p.add_argument("--data", required=True, help="dataset CSV path")
     p.add_argument("--eval-data", help="oracle-labeled CSV for a truth frontier sweep")
 
-    p = sub.add_parser("curve", parents=[common], help="emit scalar objective curves")
+    p = sub.add_parser("curve", parents=[out], help="emit scalar objective curves")
     p.add_argument("--tau0", type=float, required=True)
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--family", choices=("normal", "logistic", "uniform"), required=True)
@@ -88,7 +99,11 @@ def build_parser():
     p.add_argument("--uniform-lo", type=float)
     p.add_argument("--uniform-hi", type=float)
 
-    sub.add_parser("table2", parents=[common], help="run the desk-scale benchmark table")
+    sub.add_parser(
+        "table2",
+        parents=[config, out, seed, replications, jobs],
+        help="run the desk-scale benchmark table",
+    )
     return parser
 
 

@@ -349,6 +349,14 @@ def _fit_ols_predictor(cfg, dgp, train_seed):
 
 
 def run_evaluate(cfg, model_arg, out_path, replications=None):
+    """Score a saved model or builtin tag on fresh oracle-labeled draws.
+
+    Replication r (0-based) scores on the draw with seed
+    ``evaluation.seed + r``, whatever the model tag; the ``ols`` tag also
+    refits on the training draw with seed ``dgp.seed + r``.  One replication
+    writes one report row to ``out_path``; several write every round to
+    ``<out_path stem>_rounds.csv`` and their mean/SD to ``out_path``.
+    """
     validate_config(cfg, required_sections=("dgp", "evaluation"))
     dgp = _dgp_from_config(cfg)
     eval_n = cfg["evaluation"]["n"]
@@ -361,16 +369,14 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
         tag = model_arg
         if model_arg in ("oracle", "mail", "no_mail"):
             predictor, is_cate = _builtin_predictor(model_arg, dgp, cost)
-            sample = _generate(dgp, eval_n, eval_seed + r)
         elif model_arg == "ols":
             predictor = _fit_ols_predictor(cfg, dgp, int(cfg["dgp"]["seed"]) + r)
             is_cate = True
-            sample = _generate(dgp, eval_n, eval_seed)
         else:
             loaded = dataio.load_model(model_arg)
             predictor, is_cate = loaded.predict, loaded.is_cate
             tag = os.path.splitext(os.path.basename(model_arg))[0]
-            sample = _generate(dgp, eval_n, eval_seed + r)
+        sample = _generate(dgp, eval_n, eval_seed + r)
         report = evaluate_model(predictor, sample, cost, is_cate, model_tag=tag)
         reports.append(report)
 
@@ -610,23 +616,12 @@ def run_table2(cfg, out_dir, jobs=1):
     eval_x = eval_sample.dataset.x
 
     runs_path = os.path.join(out_dir, "table2_runs.csv")
-    runs_file = open(runs_path, "w")
-    runs_file.write("rep,model,sigma,profit,mse,qini\n")
 
     def eval_predictions(preds, is_cate):
         profit = oracle_policy_value(eval_sample, policy_from_cate(preds, cost), cost)
         mse = cate_mse(preds, eval_sample.tau_true) if is_cate else None
         qini = qini_coefficient(preds, eval_sample.tau_true)
         return profit, mse, qini
-
-    def flush(rep, model, sigma, metrics):
-        profit, mse, qini = metrics
-        sigma_s = "" if sigma is None else dataio.fmt(sigma)
-        mse_s = "" if mse is None else dataio.fmt(mse)
-        runs_file.write(
-            f"{rep},{model},{sigma_s},{dataio.fmt(profit)},{mse_s},{dataio.fmt(qini)}\n"
-        )
-        runs_file.flush()
 
     # deterministic rows: the shared baselines need no training draw
     baseline_metrics = {
@@ -636,44 +631,58 @@ def run_table2(cfg, out_dir, jobs=1):
     }
 
     rep_args = [(rep, params, dgp) for rep in range(params["replications"])]
-    if jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        fitted_iter = pool.map(_table2_fit_rep, rep_args)
-    else:
-        pool = None
-        fitted_iter = map(_table2_fit_rep, rep_args)
-
     per_model = {tag: [] for tag in TABLE2_MODEL_ORDER}
     selected = []
-    for rep_out in fitted_iter:  # evaluate and flush as each replication lands
-        rep = rep_out["rep"]
-        design = rep_out["design"]
-        eval_design = build_design(eval_x, design)
-        rows = {}
-        rows["ols"] = (None, eval_predictions(predict_cate(rep_out["ols"], eval_design), True))
-        for tag in ("linear_sigma_mse", "linear_sigma_profit"):
-            sigma, res = rep_out[tag]
-            rows[tag] = (sigma, eval_predictions(predict_cate(res, eval_design), True))
-        for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
-            sigma, model = rep_out[tag]
-            rows[tag] = (sigma, eval_predictions(predict_mlp(model, eval_x), True))
-        # the policy score thresholds at zero; shifting by the cost lets the
-        # generic 1{score >= cost} rule reproduce its decisions (ranking and
-        # hence the ranking metric are shift-invariant)
-        policy_scores = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
-        rows["policy_mlp"] = (None, eval_predictions(policy_scores, False))
-        for tag, (sigma, metrics) in rows.items():
-            flush(rep, tag, sigma, metrics)
+    with open(runs_path, "w") as runs_file:
+        runs_file.write("rep,model,sigma,profit,mse,qini\n")
+
+        def flush(rep, model, sigma, metrics):
+            profit, mse, qini = metrics
+            sigma_s = "" if sigma is None else dataio.fmt(sigma)
+            mse_s = "" if mse is None else dataio.fmt(mse)
+            runs_file.write(
+                f"{rep},{model},{sigma_s},{dataio.fmt(profit)},{mse_s},{dataio.fmt(qini)}\n"
+            )
+            runs_file.flush()
+
+        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        try:
+            if pool is not None:
+                fitted_iter = pool.map(_table2_fit_rep, rep_args)
+            else:
+                fitted_iter = map(_table2_fit_rep, rep_args)
+            for rep_out in fitted_iter:  # evaluate and flush as each replication lands
+                rep = rep_out["rep"]
+                design = rep_out["design"]
+                eval_design = build_design(eval_x, design)
+                rows = {}
+                rows["ols"] = (
+                    None, eval_predictions(predict_cate(rep_out["ols"], eval_design), True)
+                )
+                for tag in ("linear_sigma_mse", "linear_sigma_profit"):
+                    sigma, res = rep_out[tag]
+                    rows[tag] = (sigma, eval_predictions(predict_cate(res, eval_design), True))
+                for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
+                    sigma, model = rep_out[tag]
+                    rows[tag] = (sigma, eval_predictions(predict_mlp(model, eval_x), True))
+                # the policy score thresholds at zero; shifting by the cost lets the
+                # generic 1{score >= cost} rule reproduce its decisions (ranking and
+                # hence the ranking metric are shift-invariant)
+                policy_scores = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
+                rows["policy_mlp"] = (None, eval_predictions(policy_scores, False))
+                for tag, (sigma, metrics) in rows.items():
+                    flush(rep, tag, sigma, metrics)
+                    per_model[tag].append(metrics)
+                selected.append(
+                    {"rep": rep, "linear": rep_out["cv_linear"], "mlp": rep_out["cv_mlp"]}
+                )
+        finally:
+            # a failed replication must not leave queued work or live workers
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        for tag, metrics in baseline_metrics.items():
+            flush("", tag, None, metrics)
             per_model[tag].append(metrics)
-        selected.append(
-            {"rep": rep, "linear": rep_out["cv_linear"], "mlp": rep_out["cv_mlp"]}
-        )
-    if pool is not None:
-        pool.shutdown()
-    for tag, metrics in baseline_metrics.items():
-        flush("", tag, None, metrics)
-        per_model[tag].append(metrics)
-    runs_file.close()
 
     summary = {}
     for tag in TABLE2_MODEL_ORDER:

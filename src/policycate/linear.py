@@ -11,7 +11,9 @@ The optimizer is deterministic full-batch gradient ascent with a
 backtracking Armijo line search (shrink 0.5, slope factor 1e-4) and a
 proximal soft-threshold step when an l1 penalty is active.  The accepted
 objective sequence is nondecreasing by construction and checked every
-iteration.
+iteration.  Each Armijo trial costs one loss evaluation; the accepted
+trial's scores and loss are reused, so an iteration adds only the gradient
+pass on top of its trials.
 """
 
 from __future__ import annotations
@@ -230,13 +232,6 @@ def surrogate_gradient(theta, td: TransformedDataset, spec: sg.SurrogateSpec):
     return td.x.T @ np.asarray(sg.dloss_dtau(spec, scores, td.y_star)) / td.n
 
 
-def _objective_and_gradient(theta, x, y_star, spec):
-    scores = x @ theta
-    obj = float(np.mean(sg.loss_q(spec, scores, y_star)))
-    grad = x.T @ np.asarray(sg.dloss_dtau(spec, scores, y_star)) / x.shape[0]
-    return obj, grad
-
-
 def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -284,7 +279,9 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
     def penalized(th, raw_obj):
         return raw_obj - lam * float(np.sum(np.abs(th)))
 
-    obj, grad = _objective_and_gradient(theta, x, y_star, spec)
+    scores = x @ theta
+    obj = float(np.mean(sg.loss_q(spec, scores, y_star)))
+    grad = x.T @ np.asarray(sg.dloss_dtau(spec, scores, y_star)) / n
     f_cur = penalized(theta, obj)
     gnorm = _subgradient_norm(grad, theta, lam)
     step = 1.0
@@ -302,7 +299,8 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
             else:
                 cand = theta + step * grad
             delta = cand - theta
-            obj_new = float(np.mean(sg.loss_q(spec, x @ cand, y_star)))
+            cand_scores = x @ cand
+            obj_new = float(np.mean(sg.loss_q(spec, cand_scores, y_star)))
             f_new = penalized(cand, obj_new)
             if f_new >= f_cur + ARMIJO_SLOPE * float(delta @ delta) / step:
                 accepted = True
@@ -315,8 +313,10 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
         # near the optimum the per-step gain drops below float resolution of
         # the objective; stop once steps carry no representable progress
         stalled = stalled + 1 if f_new == f_cur else 0
-        theta, f_cur = cand, f_new
-        obj, grad = _objective_and_gradient(theta, x, y_star, spec)
+        # the accepted trial's scores and loss are the new point's; only the
+        # gradient needs another pass over the rows
+        theta, f_cur, obj, scores = cand, f_new, obj_new, cand_scores
+        grad = x.T @ np.asarray(sg.dloss_dtau(spec, scores, y_star)) / n
         gnorm = _subgradient_norm(grad, theta, lam)
         converged = gnorm <= cfg.grad_tol
         if stalled >= 5 or not np.any(delta):
@@ -336,7 +336,7 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
         converged=bool(converged),
         iters=iters,
         final_gradient_norm=gnorm,
-        objective=float(np.mean(sg.loss_q(spec, x @ theta, y_star))),
+        objective=obj,
         covariance=covariance,
         std_errors=std_errors,
     )

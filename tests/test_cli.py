@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from policycate import dataio
+from policycate import dataio, experiments
 from policycate.cli import main
 from policycate.linear import ols_solution
 
@@ -115,6 +115,25 @@ def test_evaluate_replications_summary(tmp_path):
     assert lines[1].split(",")[0] == "ols"
     rounds = (tmp_path / "summary_rounds.csv").read_text().splitlines()
     assert len(rounds) == 4
+    assert len({line.split(",", 1)[1] for line in rounds[1:]}) == 3
+
+
+@pytest.mark.parametrize("model", ["ols", "oracle"])
+def test_evaluate_replication_r_scores_on_eval_seed_plus_r(tmp_path, monkeypatch, model):
+    eval_seeds = []
+    generate = experiments._generate
+
+    def recording_generate(dgp, n, seed):
+        if n == 5000:  # the evaluation draw; training draws have dgp.n = 400 rows
+            eval_seeds.append(seed)
+        return generate(dgp, n, seed)
+
+    monkeypatch.setattr(experiments, "_generate", recording_generate)
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    out = tmp_path / "summary.csv"
+    args = ["evaluate", "--model", model, "--config", cfg, "--out", str(out)]
+    assert main(args + ["--replications", "3"]) == 0
+    assert eval_seeds == [99, 100, 101]
 
 
 def test_cv_command_outputs(tmp_path):
@@ -171,3 +190,60 @@ def test_curve_command_stepwise_jump(tmp_path):
 
 def test_curve_requires_out(tmp_path):
     assert main(["curve", "--tau0", "2", "--cost", "1", "--family", "normal"]) == 2
+
+
+# each subcommand's required arguments, and a value for each override flag
+REQUIRED_ARGS = {
+    "simulate": [],
+    "fit": ["--data", "d.csv"],
+    "evaluate": ["--model", "oracle"],
+    "cv": ["--data", "d.csv"],
+    "curve": ["--tau0", "2", "--cost", "1", "--family", "normal"],
+}
+FLAG_VALUES = {"--seed": "3", "--jobs": "2", "--replications": "2", "--config": "cfg.json"}
+IGNORED_FLAGS = [
+    ("fit", "--seed"),
+    ("evaluate", "--seed"),
+    ("cv", "--seed"),
+    ("curve", "--seed"),
+    ("simulate", "--jobs"),
+    ("fit", "--jobs"),
+    ("evaluate", "--jobs"),
+    ("cv", "--jobs"),
+    ("curve", "--jobs"),
+    ("fit", "--replications"),
+    ("cv", "--replications"),
+    ("curve", "--replications"),
+    ("curve", "--config"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", IGNORED_FLAGS, ids=[f"{c}-{f.lstrip('-')}" for c, f in IGNORED_FLAGS]
+)
+def test_flag_the_command_ignores_is_rejected(command, flag, capsys):
+    argv = [command] + REQUIRED_ARGS[command] + [flag, FLAG_VALUES[flag], "--out", "o"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+
+
+def test_table2_failure_closes_runs_file(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        f = open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    def failing_rep(args):
+        raise RuntimeError("replication failed")
+
+    monkeypatch.setattr(experiments, "open", recording_open, raising=False)
+    monkeypatch.setattr(experiments, "_table2_fit_rep", failing_rep)
+    cfg = {"table2": {"replications": 2, "eval_n": 2000}}
+    with pytest.raises(RuntimeError, match="replication failed"):
+        experiments.run_table2(cfg, str(tmp_path), jobs=1)
+    assert [f.name for f in opened] == [str(tmp_path / "table2_runs.csv")]
+    assert all(f.closed for f in opened)

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from policycate.dgp import SimpleDgp, gen_simple
+from policycate import surrogate
+from policycate.dgp import ComplexDgp, SimpleDgp, gen_complex, gen_simple
 from policycate.errors import (
     DimensionError,
     OverlapError,
@@ -34,6 +38,14 @@ def random_td(rng, n=200, k=4):
     theta = rng.normal(size=k)
     y_star = x @ theta + rng.normal(scale=2.0, size=n)
     return TransformedDataset(x, y_star)
+
+
+def complex_td(n, seed):
+    """A complex-DGP draw on the benchmark table's design: intercept, x1..x10."""
+    sample = gen_complex(ComplexDgp(), n, seed)
+    td = transform_outcomes(sample.dataset)
+    terms = ["1"] + [f"x{j}" for j in range(1, 11)]
+    return td.with_design(build_design(sample.dataset.x, terms))
 
 
 # ------------------------------------------------------------------- datasets
@@ -195,6 +207,60 @@ def test_heavy_l1_zeroes_everything():
     res = fit_linear(td, LinearFitConfig(spec=spec, l1_penalty=1e4, init="zeros"))
     assert np.all(res.theta == 0.0)
     assert res.converged
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(40, 400),
+    sigma=st.sampled_from([0.05, 0.25, 1.0, 5.0]),
+    max_iters=st.integers(1, 200),
+)
+def test_fit_evaluates_each_accepted_point_once(seed, n, sigma, max_iters):
+    td = complex_td(n, seed)
+    spec = SurrogateSpec.normal(1.0, sigma)
+    scores_seen = []
+
+    def recording_loss_q(spec_, scores, y_star):
+        scores_seen.append(np.array(scores))
+        return loss_q(spec_, scores, y_star)
+
+    with mock.patch.object(surrogate, "loss_q", recording_loss_q):
+        res = fit_linear(td, LinearFitConfig(spec=spec, max_iters=max_iters))
+    # the accepted Armijo trial is reused, never evaluated a second time
+    for before, after in zip(scores_seen, scores_seen[1:]):
+        assert not np.array_equal(before, after)
+    assert res.objective == surrogate_objective(res.theta, td, spec)
+
+
+# two fits of one complex draw, recorded with the solver that evaluated each
+# accepted point twice; reusing that evaluation must not move any iterate
+PINNED_CAPPED_THETA = [
+    23.159219189149866, -5.617192019142309, -5.370754815415112, -4.714556746692045,
+    -4.968599013182866, -4.9644298935545335, -4.4468861237005575, -4.452810680821741,
+    -5.330937471082273, -4.714896224585515, -3.675976351248371,
+]
+PINNED_CONVERGED_THETA = [
+    4.466924290668486, -0.9963308374501333, -0.9288527446521245, -0.8785391396654724,
+    -1.0591656616186165, -0.9079475213718832, -0.8272397789916035, -0.918360809673169,
+    -0.9360830183602904, -1.0464265070209162, -0.8533664542646271,
+]
+
+
+@pytest.mark.parametrize(
+    "sigma, max_iters, iters, converged, theta",
+    [
+        (0.05, 200, 200, False, PINNED_CAPPED_THETA),
+        (1.0, 10_000, 1624, True, PINNED_CONVERGED_THETA),
+    ],
+)
+def test_fit_matches_pinned_iterates(sigma, max_iters, iters, converged, theta):
+    td = complex_td(400, seed=3)
+    cfg = LinearFitConfig(spec=SurrogateSpec.normal(1.0, sigma), max_iters=max_iters)
+    res = fit_linear(td, cfg)
+    assert res.iters == iters
+    assert res.converged is converged
+    np.testing.assert_allclose(res.theta, theta, rtol=1e-12)
 
 
 # ------------------------------------------------------------------- sandwich
