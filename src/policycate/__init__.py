@@ -28,6 +28,7 @@ from .evaluation import (
     evaluate_model,
     ipw_policy_value,
     qini_coefficient,
+    score_predictions,
 )
 from .linear import (
     Dataset,

@@ -48,6 +48,16 @@ def _out_dir(args, cfg):
     raise ConfigError("no output location: pass --out or set output.dir in the config")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _flag(*names, **kwargs):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **kwargs)
@@ -60,8 +70,8 @@ def build_parser():
     config = _flag("--config", help="JSON experiment configuration")
     out = _flag("--out", help="output file or directory")
     seed = _flag("--seed", type=int, help="override the config seed")
-    replications = _flag("--replications", type=int, help="override replication count")
-    jobs = _flag("--jobs", type=int, default=1, help="parallel replication workers")
+    replications = _flag("--replications", type=_positive_int, help="override replication count")
+    jobs = _flag("--jobs", type=_positive_int, default=1, help="parallel replication workers")
 
     parser = argparse.ArgumentParser(
         prog="policycate",

@@ -272,20 +272,21 @@ def write_frontier_csv(path, points):
             f.write(f"{fmt(sigma)},{fmt(mse)},{fmt(profit)}\n")
 
 
-def _json_sigma(v):
+def json_sigma(v):
+    """A sigma as JSON: the string "inf" for the uniform limit, else the number."""
     return "inf" if math.isinf(v) else v
 
 
 def write_cv_json(path, cv):
     _ensure_parent(path)
     doc = {
-        "sigma_mse": _json_sigma(cv.sigma_mse),
-        "sigma_profit": _json_sigma(cv.sigma_profit),
+        "sigma_mse": json_sigma(cv.sigma_mse),
+        "sigma_profit": json_sigma(cv.sigma_profit),
         "k": cv.k,
         "seed": cv.seed,
         "fold_scores": [
             {
-                "sigma": _json_sigma(s.sigma),
+                "sigma": json_sigma(s.sigma),
                 "fold": s.fold,
                 "mse_proxy": s.mse_proxy,
                 "profit": s.profit,
@@ -293,7 +294,7 @@ def write_cv_json(path, cv):
             for s in cv.fold_scores
         ],
         "frontier": [
-            {"sigma": _json_sigma(sigma), "mse_proxy": mse, "profit": profit}
+            {"sigma": json_sigma(sigma), "mse_proxy": mse, "profit": profit}
             for sigma, mse, profit in cv.frontier
         ],
     }

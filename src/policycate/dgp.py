@@ -5,10 +5,10 @@ quadratic ``-x^2 + 2x + 1`` (single decision threshold at x = 0 when the
 cost is 1), and a ten-covariate design whose effect is a sine of the
 averaged index, giving several decision cutoffs.
 
-Randomness uses the counter-based Philox generator with one jumped stream
-per variable (x, w, noise), so adding a column or changing one stream never
-perturbs the others.  Identical (config, n, seed) always yields bitwise
-identical samples.
+Randomness comes from ``policycate.rng.streams(seed, 3)``, one stream per
+variable: covariates x at index 0, assignments w at 1, noise at 2.  Adding
+a column or changing one stream never perturbs the others.  Identical
+(config, n, seed) always yields bitwise identical samples.
 """
 
 from __future__ import annotations
@@ -18,19 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import ValidationError
 from .linear import Dataset
-
-_STREAM_X = 0
-_STREAM_W = 1
-_STREAM_EPS = 2
-
-
-def _streams(seed):
-    root = np.random.Philox(key=int(seed))
-    return tuple(
-        np.random.Generator(root.jumped(s)) for s in (_STREAM_X, _STREAM_W, _STREAM_EPS)
-    )
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ class LabeledSample:
 def gen_simple(dgp: SimpleDgp, n: int, seed: int) -> LabeledSample:
     if n < 1:
         raise ValidationError("n must be >= 1")
-    rng_x, rng_w, rng_e = _streams(seed)
+    rng_x, rng_w, rng_e = rng.streams(seed, 3)
     x = rng_x.uniform(-1.0, 2.0, size=n)
     w = (rng_w.random(n) < 0.5).astype(float)
     eps = rng_e.normal(0.0, dgp.noise_sd, size=n) if dgp.noise_sd > 0 else np.zeros(n)
@@ -111,7 +101,7 @@ def gen_simple(dgp: SimpleDgp, n: int, seed: int) -> LabeledSample:
 def gen_complex(dgp: ComplexDgp, n: int, seed: int) -> LabeledSample:
     if n < 1:
         raise ValidationError("n must be >= 1")
-    rng_x, rng_w, rng_e = _streams(seed)
+    rng_x, rng_w, rng_e = rng.streams(seed, 3)
     x = rng_x.uniform(-1.0, 2.0, size=(n, dgp.dim))
     w = (rng_w.random(n) < 0.5).astype(float)
     eps = rng_e.normal(0.0, dgp.noise_sd, size=n) if dgp.noise_sd > 0 else np.zeros(n)

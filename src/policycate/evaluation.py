@@ -78,6 +78,26 @@ def qini_coefficient(scores, tau_true) -> float:
     return float(np.mean(cum_gain - diagonal))
 
 
+def score_predictions(
+    preds, sample: LabeledSample, c: float, is_cate: bool, model_tag: str = ""
+) -> EvalReport:
+    """Score one model's predictions on an oracle-labeled evaluation sample.
+
+    Profit uses the policy ``1{prediction >= c}`` against the true effects;
+    MSE is reported only for predictions that are CATEs; the ranking
+    coefficient uses the raw predictions as scores.
+    """
+    preds = np.asarray(preds, dtype=float).ravel()
+    if preds.shape[0] != sample.dataset.n:
+        raise DimensionError("need one prediction per sample row")
+    profit = oracle_policy_value(sample, policy_from_cate(preds, c), c)
+    mse = cate_mse(preds, sample.tau_true) if is_cate else None
+    qini = qini_coefficient(preds, sample.tau_true)
+    return EvalReport(
+        profit=profit, mse=mse, qini=qini, n_eval=sample.dataset.n, model_tag=model_tag
+    )
+
+
 def evaluate_model(
     predict: Callable[[np.ndarray], np.ndarray],
     sample: LabeledSample,
@@ -85,18 +105,5 @@ def evaluate_model(
     is_cate: bool,
     model_tag: str = "",
 ) -> EvalReport:
-    """Score one predictor on an oracle-labeled evaluation sample.
-
-    Profit uses the policy ``1{prediction >= c}`` against the true effects;
-    MSE is reported only for predictors whose output is a CATE; the ranking
-    coefficient uses the raw predictions as scores.
-    """
-    preds = np.asarray(predict(sample.dataset.x), dtype=float).ravel()
-    if preds.shape[0] != sample.dataset.n:
-        raise DimensionError("predictor returned the wrong number of values")
-    profit = oracle_policy_value(sample, policy_from_cate(preds, c), c)
-    mse = cate_mse(preds, sample.tau_true) if is_cate else None
-    qini = qini_coefficient(preds, sample.tau_true)
-    return EvalReport(
-        profit=profit, mse=mse, qini=qini, n_eval=sample.dataset.n, model_tag=model_tag
-    )
+    """Score one predictor on the sample's covariates; see ``score_predictions``."""
+    return score_predictions(predict(sample.dataset.x), sample, c, is_cate, model_tag)

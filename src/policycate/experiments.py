@@ -17,6 +17,7 @@ with dotted-path diagnostics.  Sections:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -25,14 +26,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import dataio
-from .dgp import ComplexDgp, SimpleDgp, gen_complex, gen_simple, oracle_policy_value
+from .dgp import ComplexDgp, SimpleDgp, gen_complex, gen_simple
 from .errors import ConfigError
-from .evaluation import cate_mse, evaluate_model, qini_coefficient
+from .evaluation import evaluate_model, score_predictions
 from .linear import (
     LinearFitConfig,
     build_design,
     fit_linear,
-    policy_from_cate,
     predict_cate,
     transform_outcomes,
 )
@@ -249,6 +249,21 @@ def _default_design(k):
     return ["1"] + [f"x{j}" for j in range(1, k + 1)]
 
 
+def _mean_sd(reports):
+    """{metric: (mean, sd)} over ``EvalReport``s, for each metric all of them carry.
+
+    The SD uses ddof=1 and is None for a single report.
+    """
+    stats = {}
+    for name in ("profit", "mse", "qini"):
+        vals = [getattr(r, name) for r in reports]
+        if any(v is None for v in vals):
+            continue
+        sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else None
+        stats[name] = (float(np.mean(vals)), sd)
+    return stats
+
+
 def _spec_from_model_config(model, default_cost=1.0):
     family = model.get("family", "normal")
     cost = float(model.get("cost", default_cost))
@@ -385,15 +400,7 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
     else:
         rounds_path = os.path.splitext(out_path)[0] + "_rounds.csv"
         dataio.write_eval_csv(rounds_path, reports)
-        stats = {}
-        profits = [r.profit for r in reports]
-        qinis = [r.qini for r in reports]
-        stats["profit"] = (float(np.mean(profits)), float(np.std(profits, ddof=1)))
-        stats["qini"] = (float(np.mean(qinis)), float(np.std(qinis, ddof=1)))
-        if reports[0].mse is not None:
-            mses = [r.mse for r in reports]
-            stats["mse"] = (float(np.mean(mses)), float(np.std(mses, ddof=1)))
-        dataio.write_summary_csv(out_path, [(reports[0].model_tag, stats)])
+        dataio.write_summary_csv(out_path, [(reports[0].model_tag, _mean_sd(reports))])
     return reports
 
 
@@ -606,7 +613,9 @@ def run_table2(cfg, out_dir, jobs=1):
     Fits ``replications`` training draws, evaluates all models on one large
     oracle-labeled sample, and writes per-replication rows plus a mean/SD
     summary.  Returns {model: {metric: (mean, sd)}} with per-replication
-    (profit, mse, qini) triples under the "_runs" key.
+    (profit, mse, qini) triples under the "_runs" key.  The rows go to a
+    temporary file that replaces ``table2_runs.csv`` only once every row is
+    written; a failed run removes it.
     """
     validate_config(cfg)
     params, dgp = _table2_params(cfg)
@@ -614,89 +623,78 @@ def run_table2(cfg, out_dir, jobs=1):
     eval_sample = _generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
     eval_x = eval_sample.dataset.x
-
-    runs_path = os.path.join(out_dir, "table2_runs.csv")
-
-    def eval_predictions(preds, is_cate):
-        profit = oracle_policy_value(eval_sample, policy_from_cate(preds, cost), cost)
-        mse = cate_mse(preds, eval_sample.tau_true) if is_cate else None
-        qini = qini_coefficient(preds, eval_sample.tau_true)
-        return profit, mse, qini
+    n_eval = eval_sample.dataset.n
 
     # deterministic rows: the shared baselines need no training draw
-    baseline_metrics = {
-        "oracle": eval_predictions(eval_sample.tau_true, True),
-        "mail": eval_predictions(np.full(eval_sample.dataset.n, cost), False),
-        "no_mail": eval_predictions(np.full(eval_sample.dataset.n, cost - 1.0), False),
-    }
+    baselines = [
+        score_predictions(eval_sample.tau_true, eval_sample, cost, True, "oracle"),
+        score_predictions(np.full(n_eval, cost), eval_sample, cost, False, "mail"),
+        score_predictions(np.full(n_eval, cost - 1.0), eval_sample, cost, False, "no_mail"),
+    ]
 
     rep_args = [(rep, params, dgp) for rep in range(params["replications"])]
     per_model = {tag: [] for tag in TABLE2_MODEL_ORDER}
     selected = []
-    with open(runs_path, "w") as runs_file:
-        runs_file.write("rep,model,sigma,profit,mse,qini\n")
+    runs_path = os.path.join(out_dir, "table2_runs.csv")
+    runs_tmp = runs_path + ".tmp"
+    try:
+        with open(runs_tmp, "w") as runs_file:
+            runs_file.write("rep,model,sigma,profit,mse,qini\n")
 
-        def flush(rep, model, sigma, metrics):
-            profit, mse, qini = metrics
-            sigma_s = "" if sigma is None else dataio.fmt(sigma)
-            mse_s = "" if mse is None else dataio.fmt(mse)
-            runs_file.write(
-                f"{rep},{model},{sigma_s},{dataio.fmt(profit)},{mse_s},{dataio.fmt(qini)}\n"
-            )
-            runs_file.flush()
-
-        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        try:
-            if pool is not None:
-                fitted_iter = pool.map(_table2_fit_rep, rep_args)
-            else:
-                fitted_iter = map(_table2_fit_rep, rep_args)
-            for rep_out in fitted_iter:  # evaluate and flush as each replication lands
-                rep = rep_out["rep"]
-                design = rep_out["design"]
-                eval_design = build_design(eval_x, design)
-                rows = {}
-                rows["ols"] = (
-                    None, eval_predictions(predict_cate(rep_out["ols"], eval_design), True)
+            def record(rep, sigma, report):
+                sigma_s = "" if sigma is None else dataio.fmt(sigma)
+                mse_s = "" if report.mse is None else dataio.fmt(report.mse)
+                runs_file.write(
+                    f"{rep},{report.model_tag},{sigma_s},{dataio.fmt(report.profit)},"
+                    f"{mse_s},{dataio.fmt(report.qini)}\n"
                 )
-                for tag in ("linear_sigma_mse", "linear_sigma_profit"):
-                    sigma, res = rep_out[tag]
-                    rows[tag] = (sigma, eval_predictions(predict_cate(res, eval_design), True))
-                for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
-                    sigma, model = rep_out[tag]
-                    rows[tag] = (sigma, eval_predictions(predict_mlp(model, eval_x), True))
-                # the policy score thresholds at zero; shifting by the cost lets the
-                # generic 1{score >= cost} rule reproduce its decisions (ranking and
-                # hence the ranking metric are shift-invariant)
-                policy_scores = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
-                rows["policy_mlp"] = (None, eval_predictions(policy_scores, False))
-                for tag, (sigma, metrics) in rows.items():
-                    flush(rep, tag, sigma, metrics)
-                    per_model[tag].append(metrics)
-                selected.append(
-                    {"rep": rep, "linear": rep_out["cv_linear"], "mlp": rep_out["cv_mlp"]}
-                )
-        finally:
-            # a failed replication must not leave queued work or live workers
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-        for tag, metrics in baseline_metrics.items():
-            flush("", tag, None, metrics)
-            per_model[tag].append(metrics)
+                runs_file.flush()
+                per_model[report.model_tag].append(report)
 
-    summary = {}
-    for tag in TABLE2_MODEL_ORDER:
-        entries = per_model[tag]
-        stats = {}
-        for i, name in enumerate(("profit", "mse", "qini")):
-            vals = [entry[i] for entry in entries]
-            if any(v is None for v in vals):
-                continue
-            mean = float(np.mean(vals))
-            sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else None
-            stats[name] = (mean, sd)
-        summary[tag] = stats
-    summary["_runs"] = per_model
+            pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+            try:
+                if pool is not None:
+                    fitted_iter = pool.map(_table2_fit_rep, rep_args)
+                else:
+                    fitted_iter = map(_table2_fit_rep, rep_args)
+                for rep_out in fitted_iter:  # evaluate and flush as each replication lands
+                    rep = rep_out["rep"]
+                    eval_design = build_design(eval_x, rep_out["design"])
+                    preds = predict_cate(rep_out["ols"], eval_design)
+                    record(rep, None, score_predictions(preds, eval_sample, cost, True, "ols"))
+                    for tag in ("linear_sigma_mse", "linear_sigma_profit"):
+                        sigma, res = rep_out[tag]
+                        preds = predict_cate(res, eval_design)
+                        record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
+                    for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
+                        sigma, model = rep_out[tag]
+                        preds = predict_mlp(model, eval_x)
+                        record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
+                    # the policy score thresholds at zero; shifting by the cost lets the
+                    # generic 1{score >= cost} rule reproduce its decisions (ranking and
+                    # hence the ranking metric are shift-invariant)
+                    preds = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
+                    report = score_predictions(preds, eval_sample, cost, False, "policy_mlp")
+                    record(rep, None, report)
+                    selected.append(
+                        {"rep": rep, "linear": rep_out["cv_linear"], "mlp": rep_out["cv_mlp"]}
+                    )
+            finally:
+                # a failed replication must not leave queued work or live workers
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+            for report in baselines:
+                record("", None, report)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(runs_tmp)
+        raise
+    os.replace(runs_tmp, runs_path)
+
+    summary = {tag: _mean_sd(per_model[tag]) for tag in TABLE2_MODEL_ORDER}
+    summary["_runs"] = {
+        tag: [(r.profit, r.mse, r.qini) for r in reports] for tag, reports in per_model.items()
+    }
     dataio.write_summary_csv(
         os.path.join(out_dir, "table2.csv"), [(tag, summary[tag]) for tag in TABLE2_MODEL_ORDER]
     )
@@ -706,8 +704,8 @@ def run_table2(cfg, out_dir, jobs=1):
             [
                 {
                     "rep": s["rep"],
-                    "linear": [_json_inf(v) for v in s["linear"]],
-                    "mlp": [_json_inf(v) for v in s["mlp"]],
+                    "linear": [dataio.json_sigma(v) for v in s["linear"]],
+                    "mlp": [dataio.json_sigma(v) for v in s["mlp"]],
                 }
                 for s in selected
             ],
@@ -716,7 +714,3 @@ def run_table2(cfg, out_dir, jobs=1):
         )
         f.write("\n")
     return summary
-
-
-def _json_inf(v):
-    return "inf" if math.isinf(v) else v

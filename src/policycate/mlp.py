@@ -13,10 +13,10 @@ inverted dropout on hidden activations, optional global-norm gradient
 clipping, and early stopping on the validation objective (the returned
 model is the best-validation snapshot).  Inputs are standardized per
 feature with statistics of the training split, which stands in for batch
-normalization and keeps training deterministic.  All randomness (split,
-initialization, shuffling, dropout) comes from per-purpose Philox streams
-derived from the config seed, so identical inputs produce bitwise-identical
-training logs.
+normalization and keeps training deterministic.  All randomness comes from
+``policycate.rng.streams(config seed, 4)``, one stream per purpose: the
+train/validation split at index 0, initialization at 1, shuffling at 2 and
+dropout at 3.  Identical inputs produce bitwise-identical training logs.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
+from . import rng
 from . import surrogate as sg
 from .errors import DimensionError, NonFiniteLossError, ValidationError
 from .linear import TransformedDataset
 
 _MOMENTUM = 0.9
-_STREAM_SPLIT = 0
-_STREAM_INIT = 1
-_STREAM_SHUFFLE = 2
-_STREAM_DROPOUT = 3
 
 
 @dataclass(frozen=True)
@@ -107,16 +104,6 @@ class MlpModel:
         return self.head == "surrogate"
 
 
-def _streams(seed):
-    root = np.random.Philox(key=int(seed))
-    return {
-        "split": np.random.Generator(root.jumped(_STREAM_SPLIT)),
-        "init": np.random.Generator(root.jumped(_STREAM_INIT)),
-        "shuffle": np.random.Generator(root.jumped(_STREAM_SHUFFLE)),
-        "dropout": np.random.Generator(root.jumped(_STREAM_DROPOUT)),
-    }
-
-
 def _init_params(sizes, activation, rng):
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -156,8 +143,16 @@ def _forward_train(weights, biases, xb, activation, dropout_rate, rng):
     return scores, a, caches
 
 
+def _scores(weights, biases, xs, activation):
+    """Inference forward pass on standardized rows: no dropout, no caches."""
+    a = xs
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = _act(a @ w + b, activation)
+    return (a @ weights[-1] + biases[-1])[:, 0]
+
+
 def _forward_scores(model: MlpModel, x, chunk=131072):
-    """Inference forward pass (no dropout), chunked to bound memory."""
+    """Inference on raw rows, chunked to bound memory."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.x_mean.shape[0]:
         raise DimensionError(
@@ -166,10 +161,7 @@ def _forward_scores(model: MlpModel, x, chunk=131072):
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], chunk):
         xb = (x[start : start + chunk] - model.x_mean) / model.x_sd
-        a = xb
-        for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            a = _act(a @ w + b, model.activation)
-        out[start : start + chunk] = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+        out[start : start + chunk] = _scores(model.weights, model.biases, xb, model.activation)
     return out
 
 
@@ -221,9 +213,9 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     n, k = x.shape
     if n < 10:
         raise ValidationError("need at least 10 observations to train")
-    streams = _streams(cfg.seed)
+    split_rng, init_rng, shuffle_rng, dropout_rng = rng.streams(cfg.seed, 4)
 
-    perm = streams["split"].permutation(n)
+    perm = split_rng.permutation(n)
     n_val = max(1, int(round(cfg.validation_fraction * n)))
     val_idx, tr_idx = perm[n - n_val :], perm[: n - n_val]
     x_mean = x[tr_idx].mean(axis=0)
@@ -234,16 +226,13 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     xs_val, ys_val = xs[val_idx], y_star[val_idx]
 
     sizes = [k, *cfg.hidden_sizes, 1]
-    weights, biases = _init_params(sizes, cfg.activation, streams["init"])
+    weights, biases = _init_params(sizes, cfg.activation, init_rng)
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     wd, lr = cfg.weight_decay, cfg.learning_rate
 
     def data_objective(xs_part, ys_part):
-        a = xs_part
-        for w, b in zip(weights[:-1], biases[:-1]):
-            a = _act(a @ w + b, cfg.activation)
-        scores = (a @ weights[-1] + biases[-1])[:, 0]
+        scores = _scores(weights, biases, xs_part, cfg.activation)
         return float(np.mean(head_loss(scores, ys_part)))
 
     log = []
@@ -254,7 +243,7 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     n_tr = tr_idx.shape[0]
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = streams["shuffle"].permutation(n_tr)
+        order = shuffle_rng.permutation(n_tr)
         for start in range(0, n_tr, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = xs_tr[idx], ys_tr[idx]
@@ -265,7 +254,7 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
                 yb,
                 cfg.activation,
                 cfg.dropout_rate,
-                streams["dropout"],
+                dropout_rng,
                 head_loss,
                 head_dloss,
                 wd,

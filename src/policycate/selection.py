@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import rng
 from .dgp import LabeledSample, oracle_policy_value
 from .errors import FoldError, ValidationError
 from .evaluation import cate_mse, ipw_policy_value
@@ -91,8 +92,7 @@ def _fold_indices(n, k, seed):
         raise ValidationError("need at least 2 folds")
     if n < 2 * k:
         raise ValidationError("need n >= 2k observations")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    perm = rng.permutation(n)
+    perm = rng.streams(seed, 1)[0].permutation(n)
     folds = np.array_split(perm, k)
     if any(f.shape[0] == 0 for f in folds):
         raise FoldError("empty cross-validation fold")

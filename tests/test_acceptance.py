@@ -170,6 +170,7 @@ def test_criterion_3_derivative_suites():
 # 4 ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_quadratic_recovery():
     t0 = time.time()
     reps, n = 100, 10_000
@@ -211,6 +212,7 @@ def test_criterion_4_quadratic_recovery():
 # 5 ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_sandwich_coverage():
     t0 = time.time()
     reps, n = 500, 5_000
@@ -250,6 +252,7 @@ def table2_summary(tmp_path_factory):
     return summary
 
 
+@pytest.mark.slow
 def test_criterion_6_benchmark_table(table2_summary):
     s = table2_summary
     elapsed = s["_elapsed"]
@@ -295,6 +298,7 @@ def test_criterion_6_benchmark_table(table2_summary):
 # 7 ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_frontier_tradeoff():
     t0 = time.time()
     sample = gen_simple(SimpleDgp(), 10_000, seed=550_000)

@@ -229,6 +229,35 @@ def test_flag_the_command_ignores_is_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
 
 
+NON_POSITIVE_COUNTS = [
+    (command, flag, value)
+    for command, flag in [
+        ("simulate", "--replications"),
+        ("evaluate", "--replications"),
+        ("table2", "--replications"),
+        ("table2", "--jobs"),
+    ]
+    for value in ("0", "-1")
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    NON_POSITIVE_COUNTS,
+    ids=[f"{c}-{f.lstrip('-')}={v}" for c, f, v in NON_POSITIVE_COUNTS],
+)
+def test_non_positive_count_is_rejected(tmp_path, capsys, command, flag, value):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    out = tmp_path / "out"
+    required = REQUIRED_ARGS.get(command, [])
+    argv = [command, *required, "--config", cfg, "--out", str(out), f"{flag}={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"expected a positive integer, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table2_failure_closes_runs_file(tmp_path, monkeypatch):
     opened = []
 
@@ -245,5 +274,84 @@ def test_table2_failure_closes_runs_file(tmp_path, monkeypatch):
     cfg = {"table2": {"replications": 2, "eval_n": 2000}}
     with pytest.raises(RuntimeError, match="replication failed"):
         experiments.run_table2(cfg, str(tmp_path), jobs=1)
-    assert [f.name for f in opened] == [str(tmp_path / "table2_runs.csv")]
+    assert [f.name for f in opened] == [str(tmp_path / "table2_runs.csv.tmp")]
     assert all(f.closed for f in opened)
+    assert not (tmp_path / "table2_runs.csv").exists()
+    assert not (tmp_path / "table2_runs.csv.tmp").exists()
+
+
+# a small table2 run whose outputs were recorded before the scoring, summary
+# and RNG helpers were consolidated; those refactors must keep them unchanged
+GOLDEN_TABLE2_CONFIG = {
+    "table2": {
+        "replications": 2,
+        "train_n": 600,
+        "eval_n": 5000,
+        "linear_grid": [0.5, 1, "inf"],
+        "mlp_grid": [1, "inf"],
+        "mlp": {"max_epochs": 5, "early_stop_patience": 3},
+    }
+}
+GOLDEN_TABLE2_CSV = """\
+model,profit_mean,profit_sd,mse_mean,mse_sd,qini_mean,qini_sd
+no_mail,0,,,,0,
+mail,0.00286169391725,,,,0,
+ols,0.0422482683007,0.0603730854965,1.57666444351,0.0147408522045,0.0190009391849,0.035288881564
+linear_sigma_mse,0.0442664187785,0.05751898972,1.57467978234,0.0119341174655,0.019586584837,0.0344606535402
+linear_sigma_profit,0.147192661333,0.203078677864,7.7645175379,8.74181838533,0.0460143627139,0.0718351754371
+mlp_sigma_mse,0.0305945806347,0.0288117113736,1.80339342963,0.324510594778,0.0166889852884,0.0258403863705
+mlp_sigma_profit,0.0436865660779,0.0473265747459,1.81631096015,0.306242447928,0.0179534574801,0.0276286200933
+policy_mlp,0.0219113185262,0.0314517356712,,,0.0170317164841,0.0228554155336
+oracle,0.518219954792,,0,,0.34405925713,
+"""
+GOLDEN_TABLE2_RUNS_CSV = """\
+rep,model,sigma,profit,mse,qini
+0,ols,,0.0849384864565,1.56624108695,0.0439539466393
+0,linear_sigma_mse,inf,0.0849384864565,1.56624108695,0.0439539466393
+0,linear_sigma_profit,0.5,0.290790971565,13.9459165981,0.0968095023932
+0,mlp_sigma_mse,1,0.0509675371246,1.57392978749,0.0349608977194
+0,mlp_sigma_profit,inf,0.0771515080111,1.59976484853,0.0374898421029
+0,policy_mlp,,0.0441510540994,,0.0331929357947
+1,ols,,-0.00044194985498,1.58708780006,-0.00595206826948
+1,linear_sigma_mse,0.5,0.00359435110047,1.58311847773,-0.0047807769654
+1,linear_sigma_profit,0.5,0.00359435110047,1.58311847773,-0.0047807769654
+1,mlp_sigma_mse,inf,0.0102216241448,2.03285707176,-0.00158292714272
+1,mlp_sigma_profit,inf,0.0102216241448,2.03285707176,-0.00158292714272
+1,policy_mlp,,-0.000328417046998,,0.000870497173468
+,oracle,,0.518219954792,0,0.34405925713
+,mail,,0.00286169391725,,0
+,no_mail,,0,,0
+"""
+GOLDEN_TABLE2_SIGMAS = [
+    {"rep": 0, "linear": ["inf", 0.5], "mlp": [1.0, "inf"]},
+    {"rep": 1, "linear": [0.5, 0.5], "mlp": ["inf", "inf"]},
+]
+
+
+def assert_csv_matches(got_text, want_text):
+    got = [line.split(",") for line in got_text.splitlines()]
+    want = [line.split(",") for line in want_text.splitlines()]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    assert got[0] == want[0]
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for g, w in zip(got_row, want_row):
+            try:
+                w_num = float(w)
+            except ValueError:
+                assert g == w, (got_row, want_row)
+            else:
+                assert float(g) == pytest.approx(w_num, rel=1e-9, abs=0.0), (got_row, want_row)
+
+
+def test_table2_golden_outputs_and_worker_count_invariance(tmp_path):
+    outputs = ("table2.csv", "table2_runs.csv", "table2_selected_sigmas.json")
+    written = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        experiments.run_table2(json.loads(json.dumps(GOLDEN_TABLE2_CONFIG)), str(out), jobs=jobs)
+        written[jobs] = {name: (out / name).read_bytes() for name in outputs}
+    assert written[1] == written[2]
+    files = {name: data.decode() for name, data in written[1].items()}
+    assert_csv_matches(files["table2.csv"], GOLDEN_TABLE2_CSV)
+    assert_csv_matches(files["table2_runs.csv"], GOLDEN_TABLE2_RUNS_CSV)
+    assert json.loads(files["table2_selected_sigmas.json"]) == GOLDEN_TABLE2_SIGMAS
