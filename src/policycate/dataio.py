@@ -1,23 +1,28 @@
 """CSV and JSON persistence for datasets, fitted models, and reports.
 
 All numeric CSV fields are written with 12 significant digits, which
-round-trips bit-exactly through the loaders at that precision.  Infinite
-sigma values are written as the literal ``inf`` in CSV and the string
-``"inf"`` in JSON.
+round-trips bit-exactly through the loaders at that precision; ``None`` is
+written as an empty cell and a string verbatim.  Infinite sigma values are
+written as the literal ``inf`` in CSV and the string ``"inf"`` in JSON.
+
+Every output file is written to ``<path>.tmp`` and renamed onto ``path``
+only once it is complete, so a failed write leaves the previous file (or
+none) in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .dgp import LabeledSample
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .linear import Dataset, LinearFitResult, build_design
 from .mlp import MlpConfig, MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
@@ -27,9 +32,40 @@ def fmt(x) -> str:
     return "%.12g" % float(x)
 
 
-def _ensure_parent(path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file on ``path + ".tmp"`` that replaces ``path`` when the block succeeds."""
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    return v if isinstance(v, str) else fmt(v)
+
+
+def write_csv(path, header, rows):
+    """Write a header line and one comma-separated line per row."""
+    with _replacing(path) as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def write_json(path, doc):
+    with _replacing(path) as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
 
 
 # ------------------------------------------------------------------- datasets
@@ -37,20 +73,17 @@ def _ensure_parent(path):
 
 def save_dataset(path, dataset: Dataset, tau_true=None):
     """Write the experiment CSV: header y,w,e,x1..xk plus optional tau_true."""
-    _ensure_parent(path)
-    k = dataset.k
-    header = ["y", "w", "e"] + [f"x{j}" for j in range(1, k + 1)]
+    header = ["y", "w", "e"] + [f"x{j}" for j in range(1, dataset.k + 1)]
+    cols = [dataset.y[:, None], dataset.w[:, None], dataset.e[:, None], dataset.x]
     if tau_true is not None:
         tau_true = np.asarray(tau_true, dtype=float).ravel()
+        if tau_true.shape[0] != dataset.n:
+            raise DimensionError(
+                f"tau_true has {tau_true.shape[0]} values for a dataset of {dataset.n} rows"
+            )
         header.append("tau_true")
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(dataset.n):
-            row = [fmt(dataset.y[i]), "%d" % int(dataset.w[i]), fmt(dataset.e[i])]
-            row += [fmt(v) for v in dataset.x[i]]
-            if tau_true is not None:
-                row.append(fmt(tau_true[i]))
-            f.write(",".join(row) + "\n")
+        cols.append(tau_true[:, None])
+    write_csv(path, header, np.hstack(cols).tolist())
 
 
 def load_dataset(path):
@@ -108,9 +141,7 @@ class LoadedModel:
 
     kind: str
     is_cate: bool
-    cost: float
     predict: Callable[[np.ndarray], np.ndarray]
-    design: Optional[tuple] = None
 
 
 def _spec_to_json(spec: SurrogateSpec):
@@ -132,7 +163,6 @@ def _spec_from_json(doc) -> SurrogateSpec:
 
 
 def save_linear_fit(path, result: LinearFitResult, design=None):
-    _ensure_parent(path)
     doc = {
         "kind": "linear",
         **_spec_to_json(result.spec),
@@ -146,13 +176,10 @@ def save_linear_fit(path, result: LinearFitResult, design=None):
         if result.std_errors is None
         else [float(v) for v in result.std_errors],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def save_mlp_model(path, model: MlpModel):
-    _ensure_parent(path)
     doc = {
         "kind": "mlp",
         "head": model.head,
@@ -170,17 +197,11 @@ def save_mlp_model(path, model: MlpModel):
     else:
         doc["cost"] = model.cost
         doc["temperature"] = model.temperature
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def save_training_log(path, model: MlpModel):
-    _ensure_parent(path)
-    with open(path, "w") as f:
-        f.write("epoch,train_obj,val_obj\n")
-        for epoch, train_obj, val_obj in model.training_log:
-            f.write(f"{epoch},{fmt(train_obj)},{fmt(val_obj)}\n")
+    write_csv(path, ["epoch", "train_obj", "val_obj"], model.training_log)
 
 
 def _linear_predictor(doc):
@@ -194,13 +215,7 @@ def _linear_predictor(doc):
         scores = xd @ theta
         return np.asarray(spec.unstandardize(scores))
 
-    return LoadedModel(
-        kind="linear",
-        is_cate=True,
-        cost=float(doc["cost"]),
-        predict=predict,
-        design=tuple(design) if design else None,
-    )
+    return LoadedModel(kind="linear", is_cate=True, predict=predict)
 
 
 def _mlp_predictor(doc):
@@ -230,7 +245,6 @@ def _mlp_predictor(doc):
     return LoadedModel(
         kind="mlp",
         is_cate=(head == "surrogate"),
-        cost=float(doc["cost"]),
         predict=lambda x_raw: predict_mlp(model, x_raw),
     )
 
@@ -255,21 +269,12 @@ def load_model(path) -> LoadedModel:
 
 
 def write_curve_csv(path, rows):
-    _ensure_parent(path)
-    with open(path, "w") as f:
-        f.write("tau,surrogate_value,stepwise_value\n")
-        for tau, surr, step in rows:
-            f.write(f"{fmt(tau)},{fmt(surr)},{fmt(step)}\n")
+    write_csv(path, ["tau", "surrogate_value", "stepwise_value"], rows)
 
 
 def write_frontier_csv(path, points):
-    """Points are (sigma, mse, profit) triples or FrontierPoint objects."""
-    _ensure_parent(path)
-    with open(path, "w") as f:
-        f.write("sigma,mse,profit\n")
-        for p in points:
-            sigma, mse, profit = (p.sigma, p.mse, p.profit) if hasattr(p, "sigma") else p
-            f.write(f"{fmt(sigma)},{fmt(mse)},{fmt(profit)}\n")
+    """Points are (sigma, mse, profit) triples."""
+    write_csv(path, ["sigma", "mse", "profit"], points)
 
 
 def json_sigma(v):
@@ -278,7 +283,6 @@ def json_sigma(v):
 
 
 def write_cv_json(path, cv):
-    _ensure_parent(path)
     doc = {
         "sigma_mse": json_sigma(cv.sigma_mse),
         "sigma_profit": json_sigma(cv.sigma_profit),
@@ -298,30 +302,25 @@ def write_cv_json(path, cv):
             for sigma, mse, profit in cv.frontier
         ],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def write_eval_csv(path, reports):
-    _ensure_parent(path)
-    with open(path, "w") as f:
-        f.write("model_tag,profit,mse,qini,n_eval\n")
-        for r in reports:
-            mse = "" if r.mse is None else fmt(r.mse)
-            f.write(f"{r.model_tag},{fmt(r.profit)},{mse},{fmt(r.qini)},{r.n_eval}\n")
+    write_csv(
+        path,
+        ["model_tag", "profit", "mse", "qini", "n_eval"],
+        [(r.model_tag, r.profit, r.mse, r.qini, r.n_eval) for r in reports],
+    )
 
 
 def write_summary_csv(path, rows):
     """Mean/SD table rows: (model, stats dict with metric -> (mean, sd))."""
-    _ensure_parent(path)
     metrics = ("profit", "mse", "qini")
-    with open(path, "w") as f:
-        f.write("model," + ",".join(f"{m}_mean,{m}_sd" for m in metrics) + "\n")
-        for model, stats in rows:
-            cells = [model]
-            for m in metrics:
-                mean, sd = stats.get(m, (None, None))
-                cells.append("" if mean is None else fmt(mean))
-                cells.append("" if sd is None else fmt(sd))
-            f.write(",".join(cells) + "\n")
+    write_csv(
+        path,
+        ["model"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "sd")],
+        [
+            [model] + [v for m in metrics for v in stats.get(m, (None, None))]
+            for model, stats in rows
+        ],
+    )

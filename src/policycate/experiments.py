@@ -17,8 +17,6 @@ with dotted-path diagnostics.  Sections:
 
 from __future__ import annotations
 
-import contextlib
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -304,7 +302,6 @@ def run_fit(data_path, cfg, out_dir):
     dataset, _ = dataio.load_dataset(data_path)
     td = transform_outcomes(dataset)
     spec = _spec_from_model_config(model_cfg)
-    os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
 
     if model_cfg["type"] == "linear":
@@ -432,7 +429,6 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
         raise ConfigError("model.type: cv supports linear or mlp models")
 
     cv = kfold_cv(td, grid, folds, family, fit, seed=seed, cost=cost)
-    os.makedirs(out_dir, exist_ok=True)
     cv_path = os.path.join(out_dir, "cv_result.json")
     dataio.write_cv_json(cv_path, cv)
     frontier_path = os.path.join(out_dir, "frontier.csv")
@@ -451,7 +447,7 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
             td, grid, eval_sample, fit, family, cost=cost, eval_design=eval_design
         )
         truth_path = os.path.join(out_dir, "truth_frontier.csv")
-        dataio.write_frontier_csv(truth_path, points)
+        dataio.write_frontier_csv(truth_path, [(p.sigma, p.mse, p.profit) for p in points])
         out["truth_frontier_path"] = truth_path
         out["truth_frontier"] = points
     return out
@@ -475,7 +471,6 @@ def parse_grid_spec(spec_str):
 
 def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, uniform_hi=None):
     grid = parse_grid_spec(grid_spec)
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for sigma in sigmas:
         sigma = _sigma_value(sigma)
@@ -613,13 +608,12 @@ def run_table2(cfg, out_dir, jobs=1):
     Fits ``replications`` training draws, evaluates all models on one large
     oracle-labeled sample, and writes per-replication rows plus a mean/SD
     summary.  Returns {model: {metric: (mean, sd)}} with per-replication
-    (profit, mse, qini) triples under the "_runs" key.  The rows go to a
-    temporary file that replaces ``table2_runs.csv`` only once every row is
-    written; a failed run removes it.
+    (profit, mse, qini) triples under the "_runs" key.  The three output
+    files are written only after the last replication, so a failed run
+    writes none of them.
     """
     validate_config(cfg)
     params, dgp = _table2_params(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     eval_sample = _generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
     eval_x = eval_sample.dataset.x
@@ -634,83 +628,63 @@ def run_table2(cfg, out_dir, jobs=1):
 
     rep_args = [(rep, params, dgp) for rep in range(params["replications"])]
     per_model = {tag: [] for tag in TABLE2_MODEL_ORDER}
+    runs = []
     selected = []
-    runs_path = os.path.join(out_dir, "table2_runs.csv")
-    runs_tmp = runs_path + ".tmp"
+
+    def record(rep, sigma, report):
+        runs.append((rep, report.model_tag, sigma, report.profit, report.mse, report.qini))
+        per_model[report.model_tag].append(report)
+
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        with open(runs_tmp, "w") as runs_file:
-            runs_file.write("rep,model,sigma,profit,mse,qini\n")
-
-            def record(rep, sigma, report):
-                sigma_s = "" if sigma is None else dataio.fmt(sigma)
-                mse_s = "" if report.mse is None else dataio.fmt(report.mse)
-                runs_file.write(
-                    f"{rep},{report.model_tag},{sigma_s},{dataio.fmt(report.profit)},"
-                    f"{mse_s},{dataio.fmt(report.qini)}\n"
-                )
-                runs_file.flush()
-                per_model[report.model_tag].append(report)
-
-            pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-            try:
-                if pool is not None:
-                    fitted_iter = pool.map(_table2_fit_rep, rep_args)
-                else:
-                    fitted_iter = map(_table2_fit_rep, rep_args)
-                for rep_out in fitted_iter:  # evaluate and flush as each replication lands
-                    rep = rep_out["rep"]
-                    eval_design = build_design(eval_x, rep_out["design"])
-                    preds = predict_cate(rep_out["ols"], eval_design)
-                    record(rep, None, score_predictions(preds, eval_sample, cost, True, "ols"))
-                    for tag in ("linear_sigma_mse", "linear_sigma_profit"):
-                        sigma, res = rep_out[tag]
-                        preds = predict_cate(res, eval_design)
-                        record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
-                    for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
-                        sigma, model = rep_out[tag]
-                        preds = predict_mlp(model, eval_x)
-                        record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
-                    # the policy score thresholds at zero; shifting by the cost lets the
-                    # generic 1{score >= cost} rule reproduce its decisions (ranking and
-                    # hence the ranking metric are shift-invariant)
-                    preds = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
-                    report = score_predictions(preds, eval_sample, cost, False, "policy_mlp")
-                    record(rep, None, report)
-                    selected.append(
-                        {"rep": rep, "linear": rep_out["cv_linear"], "mlp": rep_out["cv_mlp"]}
-                    )
-            finally:
-                # a failed replication must not leave queued work or live workers
-                if pool is not None:
-                    pool.shutdown(cancel_futures=True)
-            for report in baselines:
-                record("", None, report)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(runs_tmp)
-        raise
-    os.replace(runs_tmp, runs_path)
+        if pool is not None:
+            fitted_iter = pool.map(_table2_fit_rep, rep_args)
+        else:
+            fitted_iter = map(_table2_fit_rep, rep_args)
+        for rep_out in fitted_iter:  # evaluate each replication as it lands
+            rep = rep_out["rep"]
+            eval_design = build_design(eval_x, rep_out["design"])
+            preds = predict_cate(rep_out["ols"], eval_design)
+            record(rep, None, score_predictions(preds, eval_sample, cost, True, "ols"))
+            for tag in ("linear_sigma_mse", "linear_sigma_profit"):
+                sigma, res = rep_out[tag]
+                preds = predict_cate(res, eval_design)
+                record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
+            for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
+                sigma, model = rep_out[tag]
+                preds = predict_mlp(model, eval_x)
+                record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
+            # the policy score thresholds at zero; shifting by the cost lets the
+            # generic 1{score >= cost} rule reproduce its decisions (ranking and
+            # hence the ranking metric are shift-invariant)
+            preds = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
+            report = score_predictions(preds, eval_sample, cost, False, "policy_mlp")
+            record(rep, None, report)
+            selected.append(
+                {
+                    "rep": rep,
+                    "linear": [dataio.json_sigma(v) for v in rep_out["cv_linear"]],
+                    "mlp": [dataio.json_sigma(v) for v in rep_out["cv_mlp"]],
+                }
+            )
+    finally:
+        # a failed replication must not leave queued work or live workers
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    for report in baselines:
+        record(None, None, report)
 
     summary = {tag: _mean_sd(per_model[tag]) for tag in TABLE2_MODEL_ORDER}
     summary["_runs"] = {
         tag: [(r.profit, r.mse, r.qini) for r in reports] for tag, reports in per_model.items()
     }
+    dataio.write_csv(
+        os.path.join(out_dir, "table2_runs.csv"),
+        ["rep", "model", "sigma", "profit", "mse", "qini"],
+        runs,
+    )
     dataio.write_summary_csv(
         os.path.join(out_dir, "table2.csv"), [(tag, summary[tag]) for tag in TABLE2_MODEL_ORDER]
     )
-    sigmas_path = os.path.join(out_dir, "table2_selected_sigmas.json")
-    with open(sigmas_path, "w") as f:
-        json.dump(
-            [
-                {
-                    "rep": s["rep"],
-                    "linear": [dataio.json_sigma(v) for v in s["linear"]],
-                    "mlp": [dataio.json_sigma(v) for v in s["mlp"]],
-                }
-                for s in selected
-            ],
-            f,
-            indent=1,
-        )
-        f.write("\n")
+    dataio.write_json(os.path.join(out_dir, "table2_selected_sigmas.json"), selected)
     return summary

@@ -339,7 +339,7 @@ def train_direct_policy(td: TransformedDataset, c: float, cfg: DirectPolicyConfi
     return _train(td.x, td.y_star, cfg.mlp, head_loss, head_dloss, meta)
 
 
-def predict_mlp(model: MlpModel, x_new, spec: Optional[sg.SurrogateSpec] = None):
+def predict_mlp(model: MlpModel, x_new):
     """Predictions on new raw-covariate rows (dropout disabled).
 
     Surrogate-head models return money-scale CATEs; policy-head models
@@ -349,5 +349,4 @@ def predict_mlp(model: MlpModel, x_new, spec: Optional[sg.SurrogateSpec] = None)
     scores = _forward_scores(model, x_new)
     if model.head == "policy":
         return scores
-    spec = model.spec if spec is None else spec
-    return np.asarray(spec.unstandardize(scores))
+    return np.asarray(model.spec.unstandardize(scores))

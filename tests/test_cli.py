@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -258,26 +259,17 @@ def test_non_positive_count_is_rejected(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
-def test_table2_failure_closes_runs_file(tmp_path, monkeypatch):
-    opened = []
-
-    def recording_open(*args, **kwargs):
-        f = open(*args, **kwargs)
-        opened.append(f)
-        return f
-
+def test_table2_failure_leaves_no_outputs(tmp_path, monkeypatch):
     def failing_rep(args):
         raise RuntimeError("replication failed")
 
-    monkeypatch.setattr(experiments, "open", recording_open, raising=False)
     monkeypatch.setattr(experiments, "_table2_fit_rep", failing_rep)
     cfg = {"table2": {"replications": 2, "eval_n": 2000}}
     with pytest.raises(RuntimeError, match="replication failed"):
         experiments.run_table2(cfg, str(tmp_path), jobs=1)
-    assert [f.name for f in opened] == [str(tmp_path / "table2_runs.csv.tmp")]
-    assert all(f.closed for f in opened)
     assert not (tmp_path / "table2_runs.csv").exists()
     assert not (tmp_path / "table2_runs.csv.tmp").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # a small table2 run whose outputs were recorded before the scoring, summary
@@ -355,3 +347,45 @@ def test_table2_golden_outputs_and_worker_count_invariance(tmp_path):
     assert_csv_matches(files["table2.csv"], GOLDEN_TABLE2_CSV)
     assert_csv_matches(files["table2_runs.csv"], GOLDEN_TABLE2_RUNS_CSV)
     assert json.loads(files["table2_selected_sigmas.json"]) == GOLDEN_TABLE2_SIGMAS
+
+
+# SHA-256 of every file written by a few fixed-seed commands whose outputs
+# involve no matrix products, recorded before the CSV/JSON writers were
+# merged into dataio.write_csv/write_json; the writers must keep every byte
+GOLDEN_OUTPUT_SHA256 = {
+    "curve/curve_sigma_0.5.csv": "c88321c44dfc8edd8f07b950e36e0246eb0d41fd548e3f20316138a85d39e2b8",
+    "curve/curve_sigma_inf.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
+    "curve/curve_sigma_uniform.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
+    "mail.csv": "123103a73c37ed0fb0061fc812a6adfe4e7819a82df77c463c95bf2e52df9ee9",
+    "mail_rounds.csv": "abe887e70ffdebf0e00b6fb528719e63681257df8e940f2fc85b81cda9b78a8e",
+    "oracle.csv": "27a22a96c7e53c2ec81367a4ff70067a934434a4a6a5d0be7eb7354ae29eb840",
+    "oracle_rounds.csv": "b71ba39e7179b02820c05ff7781b6a9af126a8145d9ff72181806636822ba3e3",
+    "sim/simple_rep000_seed7.csv": "42cc14588c73ee7b553cb398a3f0d84308242554602431f9befc9ea9543d82df",
+}
+
+
+def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
+    doc = base_config()
+    doc["dgp"]["n"] = 60
+    doc["evaluation"]["n"] = 300
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    commands = [
+        ["simulate", "--config", cfg, "--out", str(out / "sim"), "--with-oracle"],
+        ["curve", "--tau0", "2", "--cost", "1", "--family", "normal", "--sigma", "0.5",
+         "--sigma", "inf", "--grid=-3:5:17", "--out", str(out / "curve")],
+        ["curve", "--tau0", "2", "--cost", "1", "--family", "uniform", "--grid=-3:5:17",
+         "--out", str(out / "curve")],
+        ["evaluate", "--model", "mail", "--config", cfg, "--out", str(out / "mail.csv"),
+         "--replications", "2"],
+        ["evaluate", "--model", "oracle", "--config", cfg, "--out", str(out / "oracle.csv"),
+         "--replications", "2"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    got = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    assert got == GOLDEN_OUTPUT_SHA256

@@ -3,7 +3,7 @@ import pytest
 
 from policycate import dataio
 from policycate.dgp import SimpleDgp, gen_simple
-from policycate.errors import DataError
+from policycate.errors import DataError, DimensionError
 from policycate.linear import (
     Dataset,
     LinearFitConfig,
@@ -39,6 +39,37 @@ def test_dataset_roundtrip_without_oracle(tmp_path):
     ds, tau = dataio.load_dataset(p)
     assert tau is None
     assert ds.n == 200 and ds.k == 1
+
+
+def test_save_dataset_rejects_tau_true_of_another_length(tmp_path):
+    sample = gen_simple(SimpleDgp(), 5, seed=3)
+    p = tmp_path / "a.csv"
+    with pytest.raises(DimensionError, match="tau_true"):
+        dataio.save_dataset(p, sample.dataset, np.arange(9.0))
+    with pytest.raises(DimensionError, match="tau_true"):
+        dataio.save_dataset(p, sample.dataset, np.arange(4.0))
+    assert not p.exists()
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "a.csv"
+    dataio.save_dataset(p, sample_dataset().dataset)
+    before = p.read_bytes()
+    fmt = dataio.fmt
+    calls = []
+
+    def failing_fmt(x):
+        calls.append(x)
+        if len(calls) > 100:
+            raise RuntimeError("disk full")
+        return fmt(x)
+
+    monkeypatch.setattr(dataio, "fmt", failing_fmt)
+    other = gen_simple(SimpleDgp(), 200, seed=4)
+    with pytest.raises(RuntimeError, match="disk full"):
+        dataio.save_dataset(p, other.dataset, other.tau_true)
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["a.csv"]
 
 
 def test_loader_names_missing_columns(tmp_path):
