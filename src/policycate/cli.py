@@ -104,7 +104,7 @@ def build_parser():
     p.add_argument("--tau0", type=float, required=True)
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--family", choices=("normal", "logistic", "uniform"), required=True)
-    p.add_argument("--sigma", action="append", default=None, help="repeatable; inf allowed")
+    p.add_argument("--sigma", action="append", type=float, help="repeatable; inf allowed")
     p.add_argument("--grid", default="-6:8:281", help="tau grid as lo:hi:points")
     p.add_argument("--uniform-lo", type=float)
     p.add_argument("--uniform-hi", type=float)
@@ -160,15 +160,13 @@ def _run(args):
         return 0
 
     if args.command == "curve":
-        sigmas = args.sigma if args.sigma else ["1"]
-        sigmas = [s if s == "inf" else float(s) for s in sigmas]
         if args.out is None:
             raise ConfigError("--out directory is required for curve")
         paths = experiments.run_curve(
             args.tau0,
             args.cost,
             args.family,
-            sigmas,
+            args.sigma or [1.0],
             args.grid,
             args.out,
             uniform_lo=args.uniform_lo,

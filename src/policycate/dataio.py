@@ -21,10 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dgp import LabeledSample
 from .errors import DataError, DimensionError
 from .linear import Dataset, LinearFitResult, build_design
-from .mlp import MlpConfig, MlpModel, predict_mlp
+from .mlp import MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
 
 
@@ -113,16 +112,14 @@ def load_dataset(path):
     if unknown:
         raise DataError(f"{path}: unknown columns {unknown}")
     idx = {name: header.index(name) for name in header}
-    rows = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise DataError(f"{path}:{ln_no}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise DataError(f"{path}:{ln_no}: {exc}") from exc
-    data = np.asarray(rows, dtype=float)
+    if len(lines) == 1:
+        raise DataError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise DataError(f"{path}: expected {len(header)} fields per row, got {data.shape[1]}")
     x = data[:, [idx[name] for name in expected]] if expected else np.ones((data.shape[0], 0))
     try:
         ds = Dataset(x=x, w=data[:, idx["w"]], y=data[:, idx["y"]], e=data[:, idx["e"]])
@@ -208,6 +205,8 @@ def _linear_predictor(doc):
     spec = _spec_from_json(doc)
     theta = np.asarray(doc["theta"], dtype=float)
     design = doc.get("design")
+    if design and len(design) != len(theta):
+        raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
 
     def predict(x_raw):
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
@@ -219,37 +218,31 @@ def _linear_predictor(doc):
 
 
 def _mlp_predictor(doc):
-    weights = [
-        np.asarray(flat, dtype=float).reshape(shape)
-        for flat, shape in zip(doc["weights"], doc["weight_shapes"])
-    ]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
     head = doc["head"]
-    spec = _spec_from_json(doc) if head == "surrogate" else None
     model = MlpModel(
-        weights=weights,
-        biases=biases,
-        hidden_sizes=tuple(doc["hidden_sizes"]),
+        weights=[
+            np.asarray(flat, dtype=float).reshape(shape)
+            for flat, shape in zip(doc["weights"], doc["weight_shapes"])
+        ],
+        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
         activation=doc["activation"],
         x_mean=np.asarray(doc["x_mean"], dtype=float),
         x_sd=np.asarray(doc["x_sd"], dtype=float),
         head=head,
-        spec=spec,
+        spec=_spec_from_json(doc) if head == "surrogate" else None,
         cost=float(doc["cost"]),
         temperature=doc.get("temperature"),
-        config=MlpConfig(hidden_sizes=tuple(doc["hidden_sizes"]), activation=doc["activation"]),
-        training_log=[],
         best_epoch=int(doc.get("best_epoch", 0)),
-        best_val_objective=math.nan,
     )
     return LoadedModel(
         kind="mlp",
-        is_cate=(head == "surrogate"),
+        is_cate=model.is_cate,
         predict=lambda x_raw: predict_mlp(model, x_raw),
     )
 
 
 def load_model(path) -> LoadedModel:
+    """Reload a saved model; a malformed file raises :class:`DataError`."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -257,12 +250,15 @@ def load_model(path) -> LoadedModel:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    kind = doc.get("kind")
-    if kind == "linear":
-        return _linear_predictor(doc)
-    if kind == "mlp":
-        return _mlp_predictor(doc)
-    raise DataError(f"{path}: unknown model kind {kind!r}")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a model file holds a JSON object")
+    build = {"linear": _linear_predictor, "mlp": _mlp_predictor}.get(doc.get("kind"))
+    if build is None:
+        raise DataError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {doc['kind']} model: {exc!r}") from exc
 
 
 # -------------------------------------------------------------------- reports

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import dataio
-from .dgp import ComplexDgp, SimpleDgp, gen_complex, gen_simple
+from .dgp import ComplexDgp, LabeledSample, SimpleDgp, gen_complex, gen_simple
 from .errors import ConfigError
 from .evaluation import evaluate_model, score_predictions
 from .linear import (
@@ -47,10 +47,6 @@ from .selection import (
 from .surrogate import ScalarSurrogateProblem, SurrogateSpec, objective_curve
 
 # ------------------------------------------------------------- config schema
-
-
-def _type_name(t):
-    return {bool: "boolean", int: "integer", float: "number", str: "string"}.get(t, str(t))
 
 
 def _want_int(v):
@@ -262,15 +258,27 @@ def _mean_sd(reports):
     return stats
 
 
-def _spec_from_model_config(model, default_cost=1.0):
-    family = model.get("family", "normal")
-    cost = float(model.get("cost", default_cost))
-    if family == "uniform":
-        lo = float(model.get("uniform_lo", cost - 1.0))
-        hi = float(model.get("uniform_hi", cost + 1.0))
-        return SurrogateSpec.uniform(lo, hi, cost=cost)
-    sigma = _sigma_value(model.get("sigma", 1.0))
-    return spec_for_sigma(family, cost, sigma)
+def _threshold_spec(family, cost, sigma, uniform_lo=None, uniform_hi=None):
+    """The spec for a user-given family, cost and sigma.
+
+    The uniform family ignores sigma and is supported on (uniform_lo,
+    uniform_hi), which default to cost -/+ 1; any other family goes through
+    ``spec_for_sigma``.
+    """
+    if family != "uniform":
+        return spec_for_sigma(family, cost, sigma)
+    lo = cost - 1.0 if uniform_lo is None else uniform_lo
+    hi = cost + 1.0 if uniform_hi is None else uniform_hi
+    return SurrogateSpec.uniform(lo, hi, cost=cost)
+
+
+def _spec_from_model_config(model):
+    # float() so that an integer bound is stored as 0.0, not 0, in model.json
+    lo, hi = (float(model[k]) if k in model else None for k in ("uniform_lo", "uniform_hi"))
+    cost = float(model.get("cost", 1.0))
+    return _threshold_spec(
+        model.get("family", "normal"), cost, _sigma_value(model.get("sigma", 1.0)), lo, hi
+    )
 
 
 # ------------------------------------------------------------------ simulate
@@ -307,13 +315,8 @@ def run_fit(data_path, cfg, out_dir):
     if model_cfg["type"] == "linear":
         design = model_cfg.get("design", _default_design(dataset.k))
         td_design = td.with_design(build_design(dataset.x, design))
-        fit_cfg = LinearFitConfig(
-            spec=spec,
-            l1_penalty=float(model_cfg.get("l1_penalty", 0.0)),
-            max_iters=int(model_cfg.get("max_iters", 10_000)),
-            grad_tol=float(model_cfg.get("grad_tol", 1e-8)),
-            init=model_cfg.get("init", "ols"),
-        )
+        solver = ("l1_penalty", "max_iters", "grad_tol", "init")
+        fit_cfg = LinearFitConfig(spec=spec, **{k: model_cfg[k] for k in solver if k in model_cfg})
         result = fit_linear(td_design, fit_cfg)
         dataio.save_linear_fit(model_path, result, design=design)
         return {"model_path": model_path, "converged": result.converged, "iters": result.iters}
@@ -439,8 +442,6 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
         eval_ds, eval_tau = dataio.load_dataset(eval_data_path)
         if eval_tau is None:
             raise ConfigError("--eval-data file must carry a tau_true column")
-        from .dgp import LabeledSample
-
         eval_sample = LabeledSample(dataset=eval_ds, tau_true=eval_tau)
         eval_design = build_design(eval_ds.x, design) if design else None
         points = frontier_sweep(
@@ -474,13 +475,10 @@ def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, u
     paths = []
     for sigma in sigmas:
         sigma = _sigma_value(sigma)
+        spec = _threshold_spec(family, cost, sigma, uniform_lo, uniform_hi)
         if family == "uniform":
-            lo = cost - 1.0 if uniform_lo is None else uniform_lo
-            hi = cost + 1.0 if uniform_hi is None else uniform_hi
-            spec = SurrogateSpec.uniform(lo, hi, cost=cost)
             label = "uniform"
         else:
-            spec = spec_for_sigma(family, cost, sigma)
             label = "inf" if math.isinf(sigma) else ("%g" % sigma)
         rows = objective_curve(ScalarSurrogateProblem(tau0, spec), grid)
         path = os.path.join(out_dir, f"curve_sigma_{label}.csv")
@@ -617,14 +615,13 @@ def run_table2(cfg, out_dir, jobs=1):
     eval_sample = _generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
     eval_x = eval_sample.dataset.x
-    n_eval = eval_sample.dataset.n
 
-    # deterministic rows: the shared baselines need no training draw
-    baselines = [
-        score_predictions(eval_sample.tau_true, eval_sample, cost, True, "oracle"),
-        score_predictions(np.full(n_eval, cost), eval_sample, cost, False, "mail"),
-        score_predictions(np.full(n_eval, cost - 1.0), eval_sample, cost, False, "no_mail"),
-    ]
+    # deterministic rows: the shared baselines need no training draw, and are
+    # scored as `evaluate` scores the same builtin tags
+    baselines = []
+    for tag in ("oracle", "mail", "no_mail"):
+        predictor, is_cate = _builtin_predictor(tag, dgp, cost)
+        baselines.append(evaluate_model(predictor, eval_sample, cost, is_cate, model_tag=tag))
 
     rep_args = [(rep, params, dgp) for rep in range(params["replications"])]
     per_model = {tag: [] for tag in TABLE2_MODEL_ORDER}

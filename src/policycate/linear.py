@@ -18,7 +18,6 @@ pass on top of its trials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -271,8 +270,7 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
     lam = float(cfg.l1_penalty)
 
     if cfg.init == "ols":
-        target = y_star if spec.family is sg.Family.UNIFORM else (y_star - spec.cost) / spec.scale
-        theta = ols_solution(x, target)
+        theta = ols_solution(x, spec.standardize(y_star))
     else:
         theta = np.zeros(k)
 
@@ -386,11 +384,7 @@ def predict_cate(result: LinearFitResult, x_new):
         raise DimensionError(
             f"x_new has {x_new.shape[1]} columns, model expects {result.theta.shape[0]}"
         )
-    scores = x_new @ result.theta
-    spec = result.spec
-    if spec.family is sg.Family.UNIFORM:
-        return scores
-    return spec.scale * scores + spec.cost
+    return result.spec.unstandardize(x_new @ result.theta)
 
 
 def policy_from_cate(tau_hat, c):

@@ -82,11 +82,14 @@ class DirectPolicyConfig:
 
 @dataclass
 class MlpModel:
-    """Trained network plus everything needed to reproduce its predictions."""
+    """Trained network plus everything needed to reproduce its predictions.
+
+    A network reloaded from a model file has no training history: its
+    ``training_log`` is empty and its ``best_val_objective`` is NaN.
+    """
 
     weights: list
     biases: list
-    hidden_sizes: tuple
     activation: str
     x_mean: np.ndarray
     x_sd: np.ndarray
@@ -94,10 +97,13 @@ class MlpModel:
     spec: Optional[sg.SurrogateSpec]
     cost: Optional[float]
     temperature: Optional[float]
-    config: MlpConfig
-    training_log: list  # (epoch, train_obj, val_obj) minimized data objectives
     best_epoch: int
-    best_val_objective: float
+    training_log: list = field(default_factory=list)  # (epoch, train_obj, val_obj)
+    best_val_objective: float = math.nan
+
+    @property
+    def hidden_sizes(self):
+        return tuple(w.shape[1] for w in self.weights[:-1])
 
     @property
     def is_cate(self):
@@ -295,11 +301,9 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     return MlpModel(
         weights=best_snapshot[0],
         biases=best_snapshot[1],
-        hidden_sizes=cfg.hidden_sizes,
         activation=cfg.activation,
         x_mean=x_mean,
         x_sd=x_sd,
-        config=cfg,
         training_log=log,
         best_epoch=best_epoch,
         best_val_objective=best_val,

@@ -294,16 +294,17 @@ def default_bracket(spec: SurrogateSpec, tau0=None):
     return lo, hi
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def scalar_argmax(prob: ScalarSurrogateProblem, lo=None, hi=None, tol=1e-8):
-    """Golden-section maximizer of :func:`scalar_surrogate_value`.
+    """Bounded Brent maximizer of :func:`scalar_surrogate_value`.
 
-    Returns a point within ``tol`` of the maximizer.  Raises
-    :class:`SearchError` if an endpoint value strictly exceeds every interior
-    probe, i.e. the bracket holds no interior maximum.
+    Returns a point within about ``tol`` of the maximizer.  Raises
+    :class:`SearchError` if an endpoint value strictly exceeds the value at
+    the returned point, i.e. the bracket holds no interior maximum.
     """
+    # imported here: scipy.optimize would add a quarter second to every
+    # `import policycate`, and only this function needs it
+    from scipy.optimize import minimize_scalar
+
     if lo is None or hi is None:
         d_lo, d_hi = default_bracket(prob.spec, prob.tau0)
         lo = d_lo if lo is None else lo
@@ -316,30 +317,13 @@ def scalar_argmax(prob: ScalarSurrogateProblem, lo=None, hi=None, tol=1e-8):
     def f(t):
         return scalar_surrogate_value(prob, t)
 
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best = max(fc, fd)
-    # each iteration shrinks the bracket by the golden ratio
-    n_iter = max(1, math.ceil(math.log(tol / (b - a)) / math.log(_GOLDEN))) if (b - a) > tol else 1
-    for _ in range(n_iter):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        best = max(best, fc, fd)
-        if (b - a) <= tol:
-            break
-    x = 0.5 * (a + b)
-    best = max(best, f(x))
+    res = minimize_scalar(
+        lambda t: -f(t), bounds=(float(lo), float(hi)), method="bounded", options={"xatol": tol}
+    )
+    best = -res.fun
     if f(lo) > best or f(hi) > best:
-        raise SearchError("no interior maximum: an endpoint dominates all interior probes")
-    return x
+        raise SearchError("no interior maximum: an endpoint dominates the interior optimum")
+    return float(res.x)
 
 
 def stepwise_value(prob: ScalarSurrogateProblem, tau):

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policycate import dataio, experiments
 from policycate.cli import main
+from policycate.errors import ConfigError
 from policycate.linear import ols_solution
 
 
@@ -60,6 +63,44 @@ def test_config_unknown_key_rejected(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+# arbitrary JSON, and documents shaped like a config (each section an object
+# whose keys are the schema's fields, required ones always present), so that
+# every field check is reached, not only the root and section checks
+_SCHEMA = experiments.CONFIG_SCHEMA
+_FIELD_NAMES = sorted({f for sec in _SCHEMA.values() for f in sec} | set(_SCHEMA["model"]["mlp"]))
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from(["inf", "relu", "normal", "ols", "linear", "complex"])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=3), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def _config_section(schema):
+    fields = {f: _JSON_VALUES for f in schema if f != "__required__"}
+    required = {f: fields.pop(f) for f in schema["__required__"]}
+    return st.fixed_dictionaries(required, optional=fields)
+
+
+_JSON_DOCS = _JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={name: _config_section(schema) for name, schema in _SCHEMA.items()}
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_JSON_DOCS)
+def test_validate_config_accepts_or_raises_config_error(doc):
+    try:
+        experiments.validate_config(doc)
+    except ConfigError:
+        pass
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
 
@@ -88,6 +129,15 @@ def test_fit_missing_column_exits_3(tmp_path):
     bad.write_text("y,w,x1\n1.0,1,0.5\n")
     cfg = write_config(tmp_path / "cfg.json", base_config())
     assert main(["fit", "--data", str(bad), "--config", cfg, "--out", str(tmp_path / "f")]) == 3
+
+
+def test_evaluate_malformed_model_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    model = tmp_path / "model.json"
+    model.write_text('{"kind": "linear"}')
+    argv = ["evaluate", "--model", str(model), "--config", cfg, "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 3
+    assert "model.json" in capsys.readouterr().err
 
 
 def test_evaluate_builtin_rows(tmp_path, capsys):
@@ -257,6 +307,15 @@ def test_non_positive_count_is_rejected(tmp_path, capsys, command, flag, value):
     assert exc.value.code == 2
     assert f"expected a positive integer, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_numeric_sigma_is_rejected(tmp_path, capsys):
+    argv = ["curve", *REQUIRED_ARGS["curve"], "--sigma", "abc", "--out", str(tmp_path / "c")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_table2_failure_leaves_no_outputs(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from policycate.linear import (
     predict_cate,
     transform_outcomes,
 )
-from policycate.mlp import MlpConfig, predict_mlp, train_surrogate_mlp
+from policycate.mlp import (
+    DirectPolicyConfig,
+    MlpConfig,
+    predict_mlp,
+    train_direct_policy,
+    train_surrogate_mlp,
+)
 from policycate.surrogate import SurrogateSpec
 
 
@@ -102,6 +110,26 @@ def test_loader_validates_overlap_and_treatment(tmp_path):
         dataio.load_dataset(p)
 
 
+def test_header_only_dataset_is_a_data_error(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("y,w,e,x1\n")
+    with pytest.raises(DataError, match="no data rows"):
+        dataio.load_dataset(p)
+
+
+def test_loader_rejects_rows_of_another_width(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("y,w,e,x1\n1.0,1,0.5,0.5,9\n")
+    with pytest.raises(DataError, match="expected 4 fields"):
+        dataio.load_dataset(p)
+    p.write_text("y,w,e,x1\n1.0,1,0.5,0.5\n1.0,1,0.5\n")
+    with pytest.raises(DataError, match="bad.csv"):
+        dataio.load_dataset(p)
+    p.write_text("y,w,e,x1\n1.0,1,0.5,abc\n")
+    with pytest.raises(DataError, match="abc"):
+        dataio.load_dataset(p)
+
+
 def test_linear_model_roundtrip(tmp_path):
     sample = sample_dataset()
     td = transform_outcomes(sample.dataset)
@@ -134,6 +162,42 @@ def test_mlp_model_roundtrip(tmp_path):
     lines = log_path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_obj,val_obj"
     assert len(lines) == len(model.training_log) + 1
+
+
+def test_policy_model_roundtrip(tmp_path):
+    sample = sample_dataset()
+    td = transform_outcomes(sample.dataset)
+    cfg = DirectPolicyConfig(mlp=MlpConfig(hidden_sizes=(5, 3), max_epochs=4, seed=1))
+    model = train_direct_policy(td, 1.0, cfg)
+    path = tmp_path / "policy.json"
+    dataio.save_mlp_model(path, model)
+    loaded = dataio.load_model(path)
+    assert loaded.kind == "mlp" and not loaded.is_cate
+    assert np.array_equal(loaded.predict(sample.dataset.x), predict_mlp(model, sample.dataset.x))
+    assert model.hidden_sizes == (5, 3)
+    assert json.loads(path.read_text())["hidden_sizes"] == [5, 3]
+
+
+MALFORMED_MODELS = {
+    "no-family": {"kind": "linear"},
+    "not-an-object": [1, 2],
+    "short-theta": {
+        "kind": "linear", "family": "normal", "cost": 1.0, "sigma": 1.0,
+        "design": ["1", "x1", "x1^2"], "theta": [0.5, 0.1],
+    },
+    "linear-labelled-mlp": {
+        "kind": "mlp", "family": "normal", "cost": 1.0, "sigma": 1.0,
+        "design": ["1", "x1"], "theta": [0.5, 0.1],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_file_is_a_data_error(tmp_path, doc):
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="model.json"):
+        dataio.load_model(p)
 
 
 def test_unknown_model_kind(tmp_path):

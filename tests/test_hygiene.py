@@ -1,0 +1,50 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "policycate"
+# the package namespace re-exports names it never uses itself
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "annotations" and getattr(node, "module", None) == "__future__":
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_finds_one():
+    assert unused_imports("import math\nimport os\nos.getcwd()\n") == [(1, "math")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scalar_argmax imports scipy.optimize inside the function, which keeps a
+    # quarter second and about 20 MB off every command that does not need it
+    code = "import sys, policycate; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
