@@ -211,6 +211,10 @@ def _linear_predictor(doc):
     def predict(x_raw):
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
         xd = build_design(x, design) if design else x
+        if xd.shape[1] != theta.shape[0]:
+            raise DimensionError(
+                f"x has {xd.shape[1]} features, model expects {theta.shape[0]}"
+            )
         scores = xd @ theta
         return np.asarray(spec.unstandardize(scores))
 

@@ -72,7 +72,13 @@ def qini_coefficient(scores, tau_true) -> float:
         raise ValidationError("need at least two observations")
     if np.all(scores == scores[0]):
         return 0.0
-    order = np.argsort(-scores, kind="stable")
+    keys = -scores
+    # Distinct keys have one ascending order, so numpy's fast default sort
+    # gives the stable order unless two keys tie or one is NaN.
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not np.all(ranked[1:] > ranked[:-1]):
+        order = np.argsort(keys, kind="stable")
     cum_gain = np.cumsum(tau_true[order]) / n
     diagonal = np.arange(1, n + 1) * (np.mean(tau_true) / n)
     return float(np.mean(cum_gain - diagonal))

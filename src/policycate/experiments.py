@@ -472,6 +472,8 @@ def parse_grid_spec(spec_str):
 
 def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, uniform_hi=None):
     grid = parse_grid_spec(grid_spec)
+    if family == "uniform":  # ignores sigma, so one curve and one file
+        sigmas = sigmas[:1]
     paths = []
     for sigma in sigmas:
         sigma = _sigma_value(sigma)

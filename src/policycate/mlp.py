@@ -17,6 +17,15 @@ normalization and keeps training deterministic.  All randomness comes from
 ``policycate.rng.streams(config seed, 4)``, one stream per purpose: the
 train/validation split at index 0, initialization at 1, shuffling at 2 and
 dropout at 3.  Identical inputs produce bitwise-identical training logs.
+
+Inference (``predict_mlp`` and the per-epoch objectives) runs one forward
+kernel, ``_scores``, over blocks of ``_BLOCK_ROWS`` raw rows.  Each call
+allocates one input buffer and one buffer per hidden layer, sized to a
+block, and standardizes, multiplies, adds biases and applies activations in
+place, so its temporaries grow with the block, not with the row count.  A
+call on at most ``_BLOCK_ROWS`` rows makes the same BLAS calls as a
+whole-array forward pass and matches it bitwise; on more rows a short last
+block may take another BLAS kernel and differ from it in the last bit.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ from .errors import DimensionError, NonFiniteLossError, ValidationError
 from .linear import TransformedDataset
 
 _MOMENTUM = 0.9
+# Rows per inference block.  Not below the largest split table2 trains on
+# (8,500 rows), so each per-epoch objective there is a single block.
+_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,8 @@ def _init_params(sizes, activation, rng):
     return weights, biases
 
 
-def _act(z, activation):
-    return np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+def _act(z, activation, out=None):
+    return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
 def _act_grad(z, a, activation):
@@ -149,26 +161,39 @@ def _forward_train(weights, biases, xb, activation, dropout_rate, rng):
     return scores, a, caches
 
 
-def _scores(weights, biases, xs, activation):
-    """Inference forward pass on standardized rows: no dropout, no caches."""
-    a = xs
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = _act(a @ w + b, activation)
-    return (a @ weights[-1] + biases[-1])[:, 0]
+def _scores(weights, biases, activation, x_mean, x_sd, x):
+    """Inference forward pass on raw rows, block by block and in place.
+
+    No dropout, no caches.  The buffers belong to this call, so the returned
+    array aliases nothing that a later call writes.
+    """
+    n = x.shape[0]
+    rows = min(n, _BLOCK_ROWS)
+    a_buf = np.empty((rows, x.shape[1]))
+    h_bufs = [np.empty((rows, w.shape[1])) for w in weights[:-1]]
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        a = a_buf[: stop - start]
+        np.subtract(x[start:stop], x_mean, out=a)
+        np.divide(a, x_sd, out=a)
+        for w, b, h_buf in zip(weights[:-1], biases[:-1], h_bufs):
+            h = h_buf[: stop - start]
+            np.matmul(a, w, out=h)
+            h += b
+            a = _act(h, activation, out=h)
+        out[start:stop] = (a @ weights[-1] + biases[-1])[:, 0]
+    return out
 
 
-def _forward_scores(model: MlpModel, x, chunk=131072):
-    """Inference on raw rows, chunked to bound memory."""
+def _forward_scores(model: MlpModel, x):
+    """Inference on raw rows; a row width other than the model's is an error."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.x_mean.shape[0]:
         raise DimensionError(
             f"x has {x.shape[1]} features, model expects {model.x_mean.shape[0]}"
         )
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], chunk):
-        xb = (x[start : start + chunk] - model.x_mean) / model.x_sd
-        out[start : start + chunk] = _scores(model.weights, model.biases, xb, model.activation)
-    return out
+    return _scores(model.weights, model.biases, model.activation, model.x_mean, model.x_sd, x)
 
 
 def _global_norm(grads_w, grads_b):
@@ -224,12 +249,12 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     perm = split_rng.permutation(n)
     n_val = max(1, int(round(cfg.validation_fraction * n)))
     val_idx, tr_idx = perm[n - n_val :], perm[: n - n_val]
-    x_mean = x[tr_idx].mean(axis=0)
-    x_sd = x[tr_idx].std(axis=0)
+    x_tr, ys_tr = x[tr_idx], y_star[tr_idx]
+    x_val, ys_val = x[val_idx], y_star[val_idx]
+    x_mean = x_tr.mean(axis=0)
+    x_sd = x_tr.std(axis=0)
     x_sd = np.where(x_sd < 1e-12, 1.0, x_sd)
-    xs = (x - x_mean) / x_sd
-    xs_tr, ys_tr = xs[tr_idx], y_star[tr_idx]
-    xs_val, ys_val = xs[val_idx], y_star[val_idx]
+    xs_tr = (x_tr - x_mean) / x_sd
 
     sizes = [k, *cfg.hidden_sizes, 1]
     weights, biases = _init_params(sizes, cfg.activation, init_rng)
@@ -237,8 +262,8 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     vel_b = [np.zeros_like(b) for b in biases]
     wd, lr = cfg.weight_decay, cfg.learning_rate
 
-    def data_objective(xs_part, ys_part):
-        scores = _scores(weights, biases, xs_part, cfg.activation)
+    def data_objective(x_part, ys_part):
+        scores = _scores(weights, biases, cfg.activation, x_mean, x_sd, x_part)
         return float(np.mean(head_loss(scores, ys_part)))
 
     log = []
@@ -285,8 +310,8 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
                 ):
                     raise NonFiniteLossError(f"non-finite parameters at epoch {epoch}")
 
-        train_obj = data_objective(xs_tr, ys_tr)
-        val_obj = data_objective(xs_val, ys_val)
+        train_obj = data_objective(x_tr, ys_tr)
+        val_obj = data_objective(x_val, ys_val)
         log.append((epoch, train_obj, val_obj))
         if val_obj < best_val:
             best_val = val_obj

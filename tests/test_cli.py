@@ -140,6 +140,19 @@ def test_evaluate_malformed_model_exits_3(tmp_path, capsys):
     assert "model.json" in capsys.readouterr().err
 
 
+def test_evaluate_linear_model_of_another_width_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", base_config())  # 1-covariate simple draw
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "linear", "family": "normal", "cost": 1.0, "sigma": 1.0,
+        "theta": [0.1, 0.2, 0.3], "design": None,
+    }))
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 2
+    assert "x has 1 features, model expects 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_builtin_rows(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     out = tmp_path / "report.csv"
@@ -237,6 +250,22 @@ def test_curve_command_stepwise_jump(tmp_path):
     surr2 = np.array([float(ln.split(",")[1]) for ln in lines2])
     at4 = int(np.argmin(np.abs(taus - 4.0)))
     assert abs(surr[at4] - 1.0) < abs(surr2[at4] - 1.0)
+
+
+def test_curve_uniform_writes_its_file_once(tmp_path, monkeypatch, capsys):
+    writes = []
+    write = dataio.write_curve_csv
+    monkeypatch.setattr(dataio, "write_curve_csv", lambda *a: writes.append(a) or write(*a))
+    out = tmp_path / "curve"
+    argv = ["curve", "--tau0", "2", "--cost", "1", "--family", "uniform", "--sigma", "1",
+            "--sigma", "2", "--grid=-3:5:17", "--out", str(out)]
+    assert main(argv) == 0
+    path = out / "curve_sigma_uniform.csv"
+    assert len(writes) == 1
+    assert capsys.readouterr().out.split() == [str(path)]
+    assert [p.name for p in out.iterdir()] == [path.name]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_OUTPUT_SHA256["curve/curve_sigma_uniform.csv"]
 
 
 def test_curve_requires_out(tmp_path):

@@ -200,6 +200,18 @@ def test_malformed_model_file_is_a_data_error(tmp_path, doc):
         dataio.load_model(p)
 
 
+def test_linear_model_without_design_checks_row_width(tmp_path):
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({
+        "kind": "linear", "family": "normal", "cost": 1.0, "sigma": 1.0,
+        "theta": [0.1, 0.2, 0.3], "design": None,
+    }))
+    loaded = dataio.load_model(p)
+    with pytest.raises(DimensionError, match="x has 1 features, model expects 3"):
+        loaded.predict(sample_dataset().dataset.x)
+    assert loaded.predict(np.ones((4, 3))).shape == (4,)
+
+
 def test_unknown_model_kind(tmp_path):
     p = tmp_path / "weird.json"
     p.write_text('{"kind": "forest"}\n')

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policycate.dgp import SimpleDgp, gen_complex, ComplexDgp, gen_simple, oracle_policy_value
 from policycate.errors import DimensionError, ValidationError
@@ -109,6 +111,31 @@ def test_qini_monotone_transform_invariance():
     base = qini_coefficient(scores, tau)
     assert qini_coefficient(3.0 * scores + 7.0, tau) == base
     assert qini_coefficient(scores**3, tau) == base
+
+
+def qini_stable_reference(scores, tau):
+    # the formula with an explicitly stable sort, step for step
+    if np.all(scores == scores[0]):
+        return 0.0
+    n = scores.shape[0]
+    order = np.argsort(-scores, kind="stable")
+    cum_gain = np.cumsum(tau[order]) / n
+    diagonal = np.arange(1, n + 1) * (np.mean(tau) / n)
+    return float(np.mean(cum_gain - diagonal))
+
+
+TIED_SCORES = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, np.nan]), min_size=2)
+DISTINCT_SCORES = st.lists(st.floats(allow_nan=False), min_size=2, unique=True)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(TIED_SCORES, DISTINCT_SCORES), st.integers(0, 2**32 - 1))
+def test_qini_equals_the_stable_sort_formula(scores, seed):
+    scores = np.array(scores)
+    tau = np.random.default_rng(seed).normal(size=scores.shape[0])
+    got = qini_coefficient(scores, tau)
+    want = qini_stable_reference(scores, tau)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 def test_qini_needs_two_observations():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -5,8 +7,10 @@ from scipy.special import expit
 from policycate.errors import DimensionError, NonFiniteLossError, ValidationError
 from policycate.linear import LinearFitConfig, TransformedDataset, fit_linear, predict_cate
 from policycate.mlp import (
+    _BLOCK_ROWS,
     DirectPolicyConfig,
     MlpConfig,
+    MlpModel,
     _batch_gradients,
     _init_params,
     predict_mlp,
@@ -229,3 +233,64 @@ def test_exploding_learning_rate_raises_non_finite():
     cfg = MlpConfig(hidden_sizes=(16,), learning_rate=50.0, max_epochs=50, batch_size=20, seed=1)
     with pytest.raises(NonFiniteLossError):
         train_surrogate_mlp(td, spec, cfg)
+
+
+# ------------------------------------------------------------ blocked inference
+
+
+def random_network(hidden, activation, k=4, seed=0):
+    rng = np.random.default_rng(seed)
+    weights, biases = _init_params([k, *hidden, 1], activation, rng)
+    return MlpModel(
+        weights=weights,
+        biases=[rng.normal(scale=0.1, size=b.shape) for b in biases],
+        activation=activation,
+        x_mean=rng.normal(size=k),
+        x_sd=rng.uniform(0.5, 2.0, size=k),
+        head="surrogate",
+        spec=SurrogateSpec.normal(1.0, 1.5),
+        cost=1.0,
+        temperature=None,
+        best_epoch=0,
+    )
+
+
+def whole_array_predict(model, x):
+    a = (x - model.x_mean) / model.x_sd
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = a @ w + b
+        a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
+    scores = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+    return np.asarray(model.spec.unstandardize(scores))
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(64, 64), (5, 3), (33, 17, 9)])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+def test_blocked_predict_matches_whole_array_pass(activation, hidden, n):
+    model = random_network(hidden, activation)
+    x = np.random.default_rng(n).normal(size=(n, 4))
+    got = predict_mlp(model, x)
+    want = whole_array_predict(model, x)
+    if n <= B:  # one block: the same BLAS calls
+        assert got.tobytes() == want.tobytes()
+    else:  # a short last block may take another BLAS kernel
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    again = predict_mlp(model, x)
+    assert not np.shares_memory(got, again)
+    assert again.tobytes() == got.tobytes()
+
+
+def test_predict_memory_is_bounded_by_the_block():
+    model = random_network((64, 64), "tanh", k=10)
+    x = np.random.default_rng(0).normal(size=(300_000, 10))
+    tracemalloc.start()
+    try:
+        predict_mlp(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
