@@ -7,8 +7,9 @@ with dotted-path diagnostics.  Sections:
              noise_sd, cost, variance_convention (true reads the noise
              parameter as a variance, i.e. sd = sqrt(0.1))
   model      type ("linear" | "mlp" | "policy"), family, sigma ("inf" for
-             the uniform limit), cost, design terms (linear), solver knobs,
-             nested mlp config, temperature (policy)
+             the uniform limit), cost, design terms (linear), solver knobs
+             max_iters and grad_tol (linear fit and cv), nested mlp config,
+             temperature (policy)
   evaluation n, seed for oracle-labeled evaluation draws
   selection  sigma grid ("inf" allowed), folds, seed
   table2     desk-scale benchmark sizes and grids
@@ -37,6 +38,7 @@ from .linear import (
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
 from .selection import (
     DEFAULT_SIGMA_GRID,
+    SIGMA_FIT_MAX_ITERS,
     SigmaGrid,
     frontier_sweep,
     kfold_cv,
@@ -138,10 +140,8 @@ CONFIG_SCHEMA = {
         "uniform_hi": "num",
         "cost": "num",
         "design": "str_list",
-        "l1_penalty": "nonneg_num",
         "max_iters": "pos_int",
         "grad_tol": "pos_num",
-        "init": ("ols", "zeros"),
         "temperature": "pos_num",
         "mlp": _MLP_FIELDS,
     },
@@ -243,6 +243,11 @@ def _default_design(k):
     return ["1"] + [f"x{j}" for j in range(1, k + 1)]
 
 
+def _solver_options(model_cfg):
+    """The linear solver knobs a ``model`` section sets, for ``fit`` and ``cv`` alike."""
+    return {k: model_cfg[k] for k in ("max_iters", "grad_tol") if k in model_cfg}
+
+
 def _mean_sd(reports):
     """{metric: (mean, sd)} over ``EvalReport``s, for each metric all of them carry.
 
@@ -315,9 +320,7 @@ def run_fit(data_path, cfg, out_dir):
     if model_cfg["type"] == "linear":
         design = model_cfg.get("design", _default_design(dataset.k))
         td_design = td.with_design(build_design(dataset.x, design))
-        solver = ("l1_penalty", "max_iters", "grad_tol", "init")
-        fit_cfg = LinearFitConfig(spec=spec, **{k: model_cfg[k] for k in solver if k in model_cfg})
-        result = fit_linear(td_design, fit_cfg)
+        result = fit_linear(td_design, LinearFitConfig(spec=spec, **_solver_options(model_cfg)))
         dataio.save_linear_fit(model_path, result, design=design)
         return {"model_path": model_path, "converged": result.converged, "iters": result.iters}
 
@@ -425,7 +428,7 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
     if model_cfg["type"] == "linear":
         design = model_cfg.get("design", _default_design(dataset.k))
         td = td.with_design(build_design(dataset.x, design))
-        fit = linear_fit_function(l1_penalty=float(model_cfg.get("l1_penalty", 0.0)))
+        fit = linear_fit_function(**_solver_options(model_cfg))
     elif model_cfg["type"] == "mlp":
         fit = mlp_fit_function(_mlp_config(model_cfg.get("mlp")))
     else:
@@ -537,8 +540,8 @@ def _table2_params(cfg):
             params["mlp"].update(value)
         else:
             params[key] = value
-    params["linear_grid"] = tuple(_sigma_value(v) for v in params["linear_grid"])
-    params["mlp_grid"] = tuple(_sigma_value(v) for v in params["mlp_grid"])
+    params["linear_grid"] = SigmaGrid(tuple(_sigma_value(v) for v in params["linear_grid"]))
+    params["mlp_grid"] = SigmaGrid(tuple(_sigma_value(v) for v in params["mlp_grid"]))
     dgp_cfg = {"dgp": cfg["dgp"]} if "dgp" in cfg else None
     if dgp_cfg is not None and cfg["dgp"]["name"] != "complex":
         raise ConfigError("dgp.name: the benchmark table uses the complex generator")
@@ -565,7 +568,7 @@ def _table2_fit_rep(args):
     lin_fit = linear_fit_function()
     cv_lin = kfold_cv(
         td_lin,
-        SigmaGrid(params["linear_grid"]),
+        params["linear_grid"],
         params["linear_folds"],
         "normal",
         lin_fit,
@@ -575,13 +578,14 @@ def _table2_fit_rep(args):
     out["cv_linear"] = (cv_lin.sigma_mse, cv_lin.sigma_profit)
     for tag, sigma in (("linear_sigma_mse", cv_lin.sigma_mse), ("linear_sigma_profit", cv_lin.sigma_profit)):
         spec = spec_for_sigma("normal", cost, sigma)
-        out[tag] = (sigma, fit_linear(td_lin, LinearFitConfig(spec=spec, max_iters=1500)))
+        fit_cfg = LinearFitConfig(spec=spec, max_iters=SIGMA_FIT_MAX_ITERS)
+        out[tag] = (sigma, fit_linear(td_lin, fit_cfg))
 
     # sigma-tuned surrogate networks, both criteria
     mlp_cfg = _mlp_config(params["mlp"], seed_default=train_seed)
     cv_mlp = kfold_cv(
         td_raw,
-        SigmaGrid(params["mlp_grid"]),
+        params["mlp_grid"],
         params["mlp_folds"],
         "normal",
         mlp_fit_function(mlp_cfg),

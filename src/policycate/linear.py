@@ -7,13 +7,13 @@ families the fitted score is standardized and maps to money units via
 money units and the fit coincides with least squares on the transformed
 outcome.
 
-The optimizer is deterministic full-batch gradient ascent with a
-backtracking Armijo line search (shrink 0.5, slope factor 1e-4) and a
-proximal soft-threshold step when an l1 penalty is active.  The accepted
-objective sequence is nondecreasing by construction and checked every
-iteration.  Each Armijo trial costs one loss evaluation; the accepted
-trial's scores and loss are reused, so an iteration adds only the gradient
-pass on top of its trials.
+The objective is smooth, and the optimizer is deterministic full-batch
+gradient ascent from the least-squares start with a backtracking Armijo
+line search (shrink 0.5, slope factor 1e-4).  The accepted objective
+sequence is nondecreasing by construction and checked every iteration.
+Each Armijo trial costs one loss evaluation; the accepted trial's scores
+and loss are reused, so an iteration adds only the gradient pass on top of
+its trials.
 """
 
 from __future__ import annotations
@@ -175,20 +175,14 @@ def ols_solution(x, y):
 @dataclass(frozen=True)
 class LinearFitConfig:
     spec: sg.SurrogateSpec
-    l1_penalty: float = 0.0
     max_iters: int = 10_000
     grad_tol: float = 1e-8
-    init: str = "ols"  # "ols" | "zeros"
 
     def __post_init__(self):
-        if self.l1_penalty < 0:
-            raise ValidationError("l1_penalty must be nonnegative")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
         if not self.grad_tol > 0:
             raise ValidationError("grad_tol must be positive")
-        if self.init not in ("ols", "zeros"):
-            raise ValidationError("init must be 'ols' or 'zeros'")
 
 
 @dataclass(frozen=True)
@@ -231,20 +225,6 @@ def surrogate_gradient(theta, td: TransformedDataset, spec: sg.SurrogateSpec):
     return td.x.T @ np.asarray(sg.dloss_dtau(spec, scores, td.y_star)) / td.n
 
 
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _subgradient_norm(grad, theta, lam):
-    if lam == 0.0:
-        return float(np.max(np.abs(grad))) if grad.size else 0.0
-    # minimal-norm subgradient of Q - lam * |theta|_1
-    active = grad - lam * np.sign(theta)
-    inactive = _soft_threshold(grad, lam)
-    sub = np.where(theta != 0.0, active, inactive)
-    return float(np.max(np.abs(sub)))
-
-
 def _external_map(theta, spec):
     if spec.family is sg.Family.UNIFORM:
         return theta.copy()
@@ -254,34 +234,26 @@ def _external_map(theta, spec):
 
 
 def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
-    """Maximize Q_n(theta) - l1_penalty * |theta|_1 over linear scores.
+    """Maximize Q_n(theta) over linear scores by smooth ascent from OLS.
 
+    The start is the least-squares fit of the standardized outcome.
     Deterministic given inputs.  ``converged`` reports whether the sup-norm
-    of the (sub)gradient reached ``grad_tol`` within ``max_iters``.  For the
-    uniform family with no penalty the maximizer is the closed-form least
-    squares fit, which the OLS warm start hits immediately.  The sandwich
-    covariance is attached when the fit is unpenalized and converged.
+    of the gradient reached ``grad_tol`` within ``max_iters``.  For the
+    uniform family the maximizer is the closed-form least squares fit, which
+    the start hits immediately.  The sandwich covariance is attached when
+    the fit converged.
     """
     x, y_star = td.x, td.y_star
     n, k = x.shape
     if k > n:
         raise DimensionError(f"need at least as many rows as columns (n={n}, k={k})")
     spec = cfg.spec
-    lam = float(cfg.l1_penalty)
 
-    if cfg.init == "ols":
-        theta = ols_solution(x, spec.standardize(y_star))
-    else:
-        theta = np.zeros(k)
-
-    def penalized(th, raw_obj):
-        return raw_obj - lam * float(np.sum(np.abs(th)))
-
+    theta = ols_solution(x, spec.standardize(y_star))
     scores = x @ theta
     obj = float(np.mean(sg.loss_q(spec, scores, y_star)))
     grad = x.T @ np.asarray(sg.dloss_dtau(spec, scores, y_star)) / n
-    f_cur = penalized(theta, obj)
-    gnorm = _subgradient_norm(grad, theta, lam)
+    gnorm = float(np.max(np.abs(grad), initial=0.0))
     step = 1.0
     iters = 0
     stalled = 0
@@ -292,36 +264,32 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
         step = min(step * 2.0, 1e12)  # optimistic restart, then backtrack
         accepted = False
         while step > 1e-20:
-            if lam > 0.0:
-                cand = _soft_threshold(theta + step * grad, step * lam)
-            else:
-                cand = theta + step * grad
+            cand = theta + step * grad
             delta = cand - theta
             cand_scores = x @ cand
             obj_new = float(np.mean(sg.loss_q(spec, cand_scores, y_star)))
-            f_new = penalized(cand, obj_new)
-            if f_new >= f_cur + ARMIJO_SLOPE * float(delta @ delta) / step:
+            if obj_new >= obj + ARMIJO_SLOPE * float(delta @ delta) / step:
                 accepted = True
                 break
             step *= ARMIJO_SHRINK
         if not accepted:
             break  # flat to machine precision; no ascent step exists
-        if f_new < f_cur:
+        if obj_new < obj:
             raise AssertionError("line search produced a decreasing objective")
         # near the optimum the per-step gain drops below float resolution of
         # the objective; stop once steps carry no representable progress
-        stalled = stalled + 1 if f_new == f_cur else 0
+        stalled = stalled + 1 if obj_new == obj else 0
         # the accepted trial's scores and loss are the new point's; only the
         # gradient needs another pass over the rows
-        theta, f_cur, obj, scores = cand, f_new, obj_new, cand_scores
+        theta, obj, scores = cand, obj_new, cand_scores
         grad = x.T @ np.asarray(sg.dloss_dtau(spec, scores, y_star)) / n
-        gnorm = _subgradient_norm(grad, theta, lam)
+        gnorm = float(np.max(np.abs(grad), initial=0.0))
         converged = gnorm <= cfg.grad_tol
         if stalled >= 5 or not np.any(delta):
             break
 
     covariance = std_errors = None
-    if lam == 0.0 and converged:
+    if converged:
         try:
             cov = sandwich_covariance(theta, td, spec)
             covariance, std_errors = cov.sandwich, cov.std_errors

@@ -244,6 +244,8 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     n, k = x.shape
     if n < 10:
         raise ValidationError("need at least 10 observations to train")
+    if k < 1:
+        raise ValidationError("need at least one covariate")
     split_rng, init_rng, shuffle_rng, dropout_rng = rng.streams(cfg.seed, 4)
 
     perm = split_rng.permutation(n)

@@ -24,10 +24,17 @@ from . import rng
 from .dgp import LabeledSample, oracle_policy_value
 from .errors import FoldError, ValidationError
 from .evaluation import cate_mse, ipw_policy_value
-from .linear import TransformedDataset, policy_from_cate
+from .linear import LinearFitConfig, TransformedDataset, policy_from_cate
 from .surrogate import Family, SurrogateSpec
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, math.inf)
+
+# Iteration cap of the linear fits behind CV, frontier sweeps and table2's
+# final fits.  It is low on purpose: at very small sigma the objective
+# approaches the stepwise payoff and identifies only the decision boundary,
+# which stabilizes within a few hundred iterations while the score's scale
+# keeps drifting.
+SIGMA_FIT_MAX_ITERS = 1_500
 
 # fit callback contract: fit(td_train, spec) -> predict, where predict maps
 # design rows with td_train's columns to money-scale scores
@@ -36,7 +43,7 @@ FitFunction = Callable[[TransformedDataset, SurrogateSpec], Callable[[np.ndarray
 
 @dataclass(frozen=True)
 class SigmaGrid:
-    """Sorted positive spread values; ``inf`` selects the uniform family."""
+    """Strictly ascending positive spread values; ``inf`` selects the uniform family."""
 
     values: tuple = DEFAULT_SIGMA_GRID
 
@@ -46,8 +53,8 @@ class SigmaGrid:
             raise ValidationError("sigma grid must be nonempty")
         if any(not v > 0 for v in vals):
             raise ValidationError("sigma values must be positive")
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValidationError("sigma grid must be sorted ascending")
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValidationError("sigma grid must be strictly ascending")
         object.__setattr__(self, "values", vals)
 
 
@@ -183,20 +190,18 @@ def frontier_sweep(
     return points
 
 
-def linear_fit_function(l1_penalty: float = 0.0, max_iters: int = 1_500) -> FitFunction:
+def linear_fit_function(
+    max_iters: int = SIGMA_FIT_MAX_ITERS, grad_tol: float = LinearFitConfig.grad_tol
+) -> FitFunction:
     """Standard linear fit callback for CV and frontier sweeps.
 
-    The iteration cap is low on purpose: at very small sigma the objective
-    approaches the stepwise payoff and identifies only the decision
-    boundary, which stabilizes within a few hundred iterations while the
-    score's scale keeps drifting.
+    The default cap is :data:`SIGMA_FIT_MAX_ITERS`, which says why it is low.
     """
-    from .linear import LinearFitConfig, fit_linear, predict_cate
+    from .linear import fit_linear, predict_cate
 
     def fit(td_train, spec):
         res = fit_linear(
-            td_train,
-            LinearFitConfig(spec=spec, l1_penalty=l1_penalty, max_iters=max_iters),
+            td_train, LinearFitConfig(spec=spec, max_iters=max_iters, grad_tol=grad_tol)
         )
         return lambda x_new: predict_cate(res, x_new)
 

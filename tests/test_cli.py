@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import dataio, experiments
+from policycate import dataio, experiments, linear
 from policycate.cli import main
 from policycate.errors import ConfigError
 from policycate.linear import ols_solution
@@ -131,6 +131,21 @@ def test_fit_missing_column_exits_3(tmp_path):
     assert main(["fit", "--data", str(bad), "--config", cfg, "--out", str(tmp_path / "f")]) == 3
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fit_network_without_covariates_exits_2(tmp_path, capsys, activation):
+    rng = np.random.default_rng(0)
+    rows = [f"{y:.6f},{w},0.5" for y, w in zip(rng.normal(size=40), rng.integers(0, 2, 40))]
+    data = tmp_path / "no_x.csv"
+    data.write_text("y,w,e\n" + "\n".join(rows) + "\n")
+    doc = base_config()
+    doc["model"] = {"type": "mlp", "mlp": {"activation": activation, "max_epochs": 2}}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(data), "--config", cfg, "--out", str(out)]) == 2
+    assert "need at least one covariate" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_evaluate_malformed_model_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     model = tmp_path / "model.json"
@@ -227,6 +242,56 @@ def test_cv_rerun_is_byte_identical(tmp_path):
     main(["cv", "--data", data, "--config", cfg, "--out", str(d2)])
     assert (d1 / "cv_result.json").read_bytes() == (d2 / "cv_result.json").read_bytes()
     assert (d1 / "frontier.csv").read_bytes() == (d2 / "frontier.csv").read_bytes()
+
+
+def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--config", cfg, "--out", str(sim_dir)])
+    data = str(sim_dir / "simple_rep000_seed7.csv")
+    assert main(["cv", "--data", data, "--config", cfg, "--out", str(tmp_path / "default")]) == 0
+    doc = base_config()
+    doc["model"]["max_iters"] = 1
+    capped_cfg = write_config(tmp_path / "capped.json", doc)
+    caps = []
+    real_fit = linear.fit_linear
+
+    def spy(td, fit_cfg):
+        caps.append(fit_cfg.max_iters)
+        return real_fit(td, fit_cfg)
+
+    monkeypatch.setattr(linear, "fit_linear", spy)
+    capped_out = tmp_path / "capped"
+    assert main(["cv", "--data", data, "--config", capped_cfg, "--out", str(capped_out)]) == 0
+    assert caps == [1] * 4  # two sigmas, two folds
+    default = (tmp_path / "default" / "cv_result.json").read_bytes()
+    assert (capped_out / "cv_result.json").read_bytes() != default
+
+
+def test_repeated_sigma_is_rejected_by_cv_and_table2(tmp_path, capsys):
+    doc = base_config()
+    doc["selection"]["grid"] = [0.5, 0.5]
+    doc["table2"] = {
+        "replications": 1,
+        "train_n": 600,
+        "eval_n": 2000,
+        "linear_grid": [0.5, 0.5],
+        "mlp": {"max_epochs": 2},
+    }
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--config", cfg, "--out", str(sim_dir)])
+    data = str(sim_dir / "simple_rep000_seed7.csv")
+    del doc["dgp"]  # table2 draws from the complex generator
+    table2_cfg = write_config(tmp_path / "table2.json", doc)
+    for argv in (
+        ["cv", "--data", data, "--config", cfg, "--out", str(tmp_path / "cv")],
+        ["table2", "--config", table2_cfg, "--out", str(tmp_path / "t2")],
+    ):
+        assert main(argv) == 2
+        assert "strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "cv" / "cv_result.json").exists()
+    assert not (tmp_path / "t2" / "table2.csv").exists()
 
 
 def test_curve_command_stepwise_jump(tmp_path):

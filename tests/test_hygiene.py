@@ -36,6 +36,39 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def dead_private_names(source):
+    """Module-level ``_name`` functions, classes and assignments the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
+def test_dead_private_name_scan_finds_each_kind():
+    source = "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n_X = 1\n_used()\n"
+    assert dead_private_names(source) == [(2, "_dead"), (3, "_Gone"), (4, "_X")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_every_private_name_it_defines(path):
+    assert dead_private_names(path.read_text()) == []
+
+
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
     # scalar_argmax imports scipy.optimize inside the function, which keeps a
     # quarter second and about 20 MB off every command that does not need it

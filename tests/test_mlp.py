@@ -225,6 +225,20 @@ def test_predict_dimension_error_and_validation():
         )
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("head", ["surrogate", "policy"])
+def test_network_without_covariates_is_rejected(activation, head):
+    # relu's He scale divides by the input width; tanh would fit a constant
+    rng = np.random.default_rng(12)
+    td = TransformedDataset(np.empty((40, 0)), rng.normal(size=40))
+    cfg = MlpConfig(hidden_sizes=(4,), activation=activation, max_epochs=2, seed=0)
+    with pytest.raises(ValidationError, match="at least one covariate"):
+        if head == "surrogate":
+            train_surrogate_mlp(td, SurrogateSpec.normal(1.0, 1.0), cfg)
+        else:
+            train_direct_policy(td, 1.0, DirectPolicyConfig(mlp=cfg))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_exploding_learning_rate_raises_non_finite():
     rng = np.random.default_rng(11)

@@ -33,6 +33,8 @@ def test_sigma_grid_validation():
         SigmaGrid((0.0, 1.0))
     with pytest.raises(ValidationError):
         SigmaGrid((2.0, 1.0))
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        SigmaGrid((0.5, 0.5, math.inf))
     grid = SigmaGrid((0.5, 1.0, math.inf))
     assert grid.values[-1] == math.inf
 
@@ -63,12 +65,17 @@ def test_fold_determinism(misspecified_problem):
     assert c.fold_scores != a.fold_scores
 
 
-def test_duplicated_sigma_ties_break_to_later_entry(misspecified_problem):
+def test_tied_scores_break_to_larger_sigma(misspecified_problem):
     _, td = misspecified_problem
-    grid = SigmaGrid((1.0, 1.0))
-    res = kfold_cv(td, grid, 3, "normal", linear_fit_function(), seed=1, cost=1.0)
+    ols_fit = linear_fit_function()
+    uniform = spec_for_sigma("normal", 1.0, math.inf)
+
+    def fit_ignoring_sigma(td_train, spec):
+        return ols_fit(td_train, uniform)
+
+    res = kfold_cv(td, SigmaGrid((0.5, 1.0)), 3, "normal", fit_ignoring_sigma, seed=1, cost=1.0)
     a, b = res.frontier
-    assert a[1:] == b[1:]  # identical scores for identical sigma
+    assert a[1:] == b[1:]  # identical scores for every sigma
     assert res.sigma_mse == 1.0 and res.sigma_profit == 1.0
 
 
