@@ -41,6 +41,7 @@ from .linear import (
     ols_solution,
     policy_from_cate,
     predict_cate,
+    predict_rows,
     sandwich_covariance,
     surrogate_gradient,
     surrogate_objective,

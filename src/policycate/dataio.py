@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linear import Dataset, LinearFitResult, build_design
+from .linear import BLOCK_ROWS, Dataset, LinearFitResult, predict_rows
 from .mlp import MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
 
@@ -71,7 +71,11 @@ def write_json(path, doc):
 
 
 def save_dataset(path, dataset: Dataset, tau_true=None):
-    """Write the experiment CSV: header y,w,e,x1..xk plus optional tau_true."""
+    """Write the experiment CSV: header y,w,e,x1..xk plus optional tau_true.
+
+    Rows become Python floats one block of ``BLOCK_ROWS`` at a time, so the
+    temporaries grow with the block, not with the row count.
+    """
     header = ["y", "w", "e"] + [f"x{j}" for j in range(1, dataset.k + 1)]
     cols = [dataset.y[:, None], dataset.w[:, None], dataset.e[:, None], dataset.x]
     if tau_true is not None:
@@ -82,7 +86,12 @@ def save_dataset(path, dataset: Dataset, tau_true=None):
             )
         header.append("tau_true")
         cols.append(tau_true[:, None])
-    write_csv(path, header, np.hstack(cols).tolist())
+
+    def rows():
+        for start in range(0, dataset.n, BLOCK_ROWS):
+            yield from np.hstack([c[start : start + BLOCK_ROWS] for c in cols]).tolist()
+
+    write_csv(path, header, rows())
 
 
 def load_dataset(path):
@@ -207,18 +216,11 @@ def _linear_predictor(doc):
     design = doc.get("design")
     if design and len(design) != len(theta):
         raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
-
-    def predict(x_raw):
-        x = np.atleast_2d(np.asarray(x_raw, dtype=float))
-        xd = build_design(x, design) if design else x
-        if xd.shape[1] != theta.shape[0]:
-            raise DimensionError(
-                f"x has {xd.shape[1]} features, model expects {theta.shape[0]}"
-            )
-        scores = xd @ theta
-        return np.asarray(spec.unstandardize(scores))
-
-    return LoadedModel(kind="linear", is_cate=True, predict=predict)
+    return LoadedModel(
+        kind="linear",
+        is_cate=True,
+        predict=lambda x_raw: predict_rows(theta, spec, x_raw, design),
+    )
 
 
 def _mlp_predictor(doc):

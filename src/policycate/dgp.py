@@ -9,6 +9,11 @@ Randomness comes from ``policycate.rng.streams(seed, 3)``, one stream per
 variable: covariates x at index 0, assignments w at 1, noise at 2.  Adding
 a column or changing one stream never perturbs the others.  Identical
 (config, n, seed) always yields bitwise identical samples.
+
+A generator seals every array it draws (``setflags(write=False)``) before
+building the ``Dataset``, which then shares them instead of copying them
+(see ``policycate.linear.read_only``): a 1e6-row complex draw holds its
+80 MB covariate matrix once.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .errors import ValidationError
-from .linear import Dataset
+from .linear import Dataset, read_only
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,17 @@ class ComplexDgp:
         return z * np.sin(2.3 * z) + 1.3
 
 
+def _sealed(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class LabeledSample:
-    """A generated dataset together with its oracle effect values."""
+    """A generated dataset together with its oracle effect values.
+
+    ``tau_true`` is stored through ``read_only``, as the dataset's arrays are.
+    """
 
     dataset: Dataset
     tau_true: np.ndarray
@@ -80,9 +93,7 @@ class LabeledSample:
             raise ValidationError("tau_true length must match the dataset")
         if not np.all(np.isfinite(tau)):
             raise ValidationError("non-finite tau_true")
-        tau = tau.copy()
-        tau.setflags(write=False)
-        object.__setattr__(self, "tau_true", tau)
+        object.__setattr__(self, "tau_true", read_only(tau))
 
 
 def gen_simple(dgp: SimpleDgp, n: int, seed: int) -> LabeledSample:
@@ -94,7 +105,9 @@ def gen_simple(dgp: SimpleDgp, n: int, seed: int) -> LabeledSample:
     eps = rng_e.normal(0.0, dgp.noise_sd, size=n) if dgp.noise_sd > 0 else np.zeros(n)
     tau = dgp.tau(x)
     y = 1.0 + x + w * tau + eps
-    ds = Dataset(x=x[:, None], w=w, y=y, e=np.full(n, 0.5))
+    e = np.full(n, 0.5)
+    _sealed(x, w, y, e, tau)
+    ds = Dataset(x=x[:, None], w=w, y=y, e=e)
     return LabeledSample(dataset=ds, tau_true=tau)
 
 
@@ -107,7 +120,9 @@ def gen_complex(dgp: ComplexDgp, n: int, seed: int) -> LabeledSample:
     eps = rng_e.normal(0.0, dgp.noise_sd, size=n) if dgp.noise_sd > 0 else np.zeros(n)
     tau = dgp.tau(x)
     y = w * tau + eps
-    ds = Dataset(x=x, w=w, y=y, e=np.full(n, 0.5))
+    e = np.full(n, 0.5)
+    _sealed(x, w, y, e, tau)
+    ds = Dataset(x=x, w=w, y=y, e=e)
     return LabeledSample(dataset=ds, tau_true=tau)
 
 

@@ -79,9 +79,17 @@ def qini_coefficient(scores, tau_true) -> float:
     ranked = keys[order]
     if not np.all(ranked[1:] > ranked[:-1]):
         order = np.argsort(keys, kind="stable")
-    cum_gain = np.cumsum(tau_true[order]) / n
-    diagonal = np.arange(1, n + 1) * (np.mean(tau_true) / n)
-    return float(np.mean(cum_gain - diagonal))
+    del keys, ranked
+    # each temporary goes as soon as it is used and the rest is done in
+    # place: the same IEEE operations as the whole-array expressions
+    # cumsum(g) / n - arange(1, n + 1) * (mean / n), at about half the peak
+    cum_gain = np.cumsum(tau_true[order])
+    del order
+    cum_gain /= n
+    diagonal = np.arange(1, n + 1, dtype=float)
+    diagonal *= np.mean(tau_true) / n
+    cum_gain -= diagonal
+    return float(np.mean(cum_gain))
 
 
 def score_predictions(

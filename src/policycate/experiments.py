@@ -32,7 +32,7 @@ from .linear import (
     LinearFitConfig,
     build_design,
     fit_linear,
-    predict_cate,
+    predict_rows,
     transform_outcomes,
 )
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
@@ -363,7 +363,7 @@ def _fit_ols_predictor(cfg, dgp, train_seed):
     td = td.with_design(build_design(sample.dataset.x, design))
     spec = spec_for_sigma("normal", dgp.cost, math.inf)
     res = fit_linear(td, LinearFitConfig(spec=spec))
-    return lambda x_raw: predict_cate(res, build_design(x_raw, design))
+    return lambda x_raw: predict_rows(res.theta, res.spec, x_raw, design)
 
 
 def run_evaluate(cfg, model_arg, out_path, replications=None):
@@ -645,13 +645,13 @@ def run_table2(cfg, out_dir, jobs=1):
         else:
             fitted_iter = map(_table2_fit_rep, rep_args)
         for rep_out in fitted_iter:  # evaluate each replication as it lands
-            rep = rep_out["rep"]
-            eval_design = build_design(eval_x, rep_out["design"])
-            preds = predict_cate(rep_out["ols"], eval_design)
+            rep, design = rep_out["rep"], rep_out["design"]
+            res = rep_out["ols"]
+            preds = predict_rows(res.theta, res.spec, eval_x, design)
             record(rep, None, score_predictions(preds, eval_sample, cost, True, "ols"))
             for tag in ("linear_sigma_mse", "linear_sigma_profit"):
                 sigma, res = rep_out[tag]
-                preds = predict_cate(res, eval_design)
+                preds = predict_rows(res.theta, res.spec, eval_x, design)
                 record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
             for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
                 sigma, model = rep_out[tag]

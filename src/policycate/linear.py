@@ -14,6 +14,16 @@ sequence is nondecreasing by construction and checked every iteration.
 Each Armijo trial costs one loss evaluation; the accepted trial's scores
 and loss are reused, so an iteration adds only the gradient pass on top of
 its trials.
+
+Arrays stored on a ``Dataset``, ``TransformedDataset`` or fit result are
+read-only float64.  ``read_only`` keeps an array as it is when nothing can
+write to it any more, and copies it otherwise, so a caller hands an array
+over by sealing it (``a.setflags(write=False)``) and keeps a private copy
+of anything it leaves writable.
+
+Scoring walks its rows in blocks of ``BLOCK_ROWS``: ``predict_rows`` here,
+the network forward pass in ``policycate.mlp`` and the dataset writer in
+``policycate.dataio`` share that one constant.
 """
 
 from __future__ import annotations
@@ -35,9 +45,30 @@ from .errors import (
 OVERLAP_EPS = 1e-6
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
+# Rows per scoring block.  Not below the largest split table2 trains on
+# (8,500 rows), so each per-epoch network objective there is a single block.
+BLOCK_ROWS = 16384
 
 
-def _frozen(a):
+def read_only(a):
+    """``a`` as a read-only, C-contiguous float64 array, copied only when needed.
+
+    Such an array is kept as it is when it is read-only and so is the array
+    that owns its memory: nobody can change it without first unsealing that
+    owner, which the hand-over contract forbids.  Anything else, a writable
+    array above all, is copied and the copy sealed.
+    """
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.c_contiguous
+        and not a.flags.writeable
+    ):
+        owner = a
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if owner.base is None and not owner.flags.writeable:
+            return a
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -50,6 +81,11 @@ class Dataset:
     ``x`` may be raw covariates or an already-built design matrix (by
     convention the first design column is an intercept).  Propensities must
     respect the overlap band (eps, 1 - eps) with eps = 1e-6.
+
+    Each field is stored through ``read_only``: a sealed float64 array whose
+    owner is sealed too is shared, so a 1e6-row draw is not held twice, and
+    anything writable is copied, so later writes by the caller cannot reach
+    the dataset.
     """
 
     x: np.ndarray
@@ -76,7 +112,7 @@ class Dataset:
                 f"propensities must lie in ({OVERLAP_EPS:g}, {1 - OVERLAP_EPS:g})"
             )
         for name, arr in (("x", x), ("w", w), ("y", y), ("e", e)):
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name, read_only(arr))
 
     @property
     def n(self):
@@ -89,7 +125,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TransformedDataset:
-    """Design rows plus the propensity-weighted transformed outcome."""
+    """Design rows plus the propensity-weighted transformed outcome.
+
+    Arrays are stored through ``read_only``, as on ``Dataset``.
+    """
 
     x: np.ndarray
     y_star: np.ndarray
@@ -101,8 +140,8 @@ class TransformedDataset:
             raise DimensionError("x and y_star must share their first dimension")
         if not np.all(np.isfinite(ys)):
             raise ValidationError("non-finite transformed outcomes")
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y_star", _frozen(ys))
+        object.__setattr__(self, "x", read_only(x))
+        object.__setattr__(self, "y_star", read_only(ys))
 
     @property
     def n(self):
@@ -123,12 +162,14 @@ def transform_outcomes(data: Dataset) -> TransformedDataset:
     """IPW outcome transform: y* = y * (w/e - (1-w)/(1-e)).
 
     The result is conditionally unbiased for the CATE under random
-    assignment with known propensities.
+    assignment with known propensities.  The result shares the dataset's
+    covariate rows.
     """
     e = data.e
     if np.any(e <= OVERLAP_EPS) or np.any(e >= 1.0 - OVERLAP_EPS):
         raise OverlapError("propensities outside the overlap band")
     y_star = data.y * (data.w / e - (1.0 - data.w) / (1.0 - e))
+    y_star.setflags(write=False)  # a fresh array, handed over rather than copied
     return TransformedDataset(data.x, y_star)
 
 
@@ -150,7 +191,7 @@ def build_design(x_raw, terms):
             raise ValidationError(f"unrecognized design term {term!r}")
         j = int(base[1:])
         if not 1 <= j <= x_raw.shape[1]:
-            raise ValidationError(f"design term {term!r} exceeds {x_raw.shape[1]} columns")
+            raise DimensionError(f"design term {term!r} exceeds {x_raw.shape[1]} columns")
         col = x_raw[:, j - 1]
         if power:
             if not power.isdigit() or int(power) < 1:
@@ -296,8 +337,8 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
         except SingularHessianError:
             pass  # report the fit without inference
     return LinearFitResult(
-        theta=_frozen(theta),
-        theta_external=_frozen(_external_map(theta, spec)),
+        theta=read_only(theta),
+        theta_external=read_only(_external_map(theta, spec)),
         spec=spec,
         converged=bool(converged),
         iters=iters,
@@ -338,21 +379,43 @@ def sandwich_covariance(theta_hat, td: TransformedDataset, spec: sg.SurrogateSpe
     sandwich = 0.5 * (sandwich + sandwich.T)
     std_errors = np.sqrt(np.maximum(np.diag(sandwich), 0.0))
     return SandwichCovariance(
-        b_hat=_frozen(b_hat),
-        m_hat=_frozen(m_hat),
-        sandwich=_frozen(sandwich),
-        std_errors=_frozen(std_errors),
+        b_hat=read_only(b_hat),
+        m_hat=read_only(m_hat),
+        sandwich=read_only(sandwich),
+        std_errors=read_only(std_errors),
     )
+
+
+def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):
+    """Money-scale scores ``spec.unstandardize(xd @ theta)``, one block at a time.
+
+    ``xd`` is ``build_design(x, design)`` for raw rows ``x``, or ``x`` itself
+    when ``design`` is None.  The width is checked once, before any block;
+    then each block of ``BLOCK_ROWS`` rows is built, multiplied and written
+    into the one output array, so temporaries grow with the block, not with
+    the row count.  The result equals a one-thread whole-array product
+    bitwise.  A lone last row joins the block before it: numpy takes a
+    one-row product through ``dot``, which may round differently.
+    """
+    theta = np.asarray(theta, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    width = build_design(x[:0], design).shape[1] if design else x.shape[1]
+    if width != theta.shape[0]:
+        raise DimensionError(f"x has {width} features, model expects {theta.shape[0]}")
+    n = x.shape[0]
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+        xd = build_design(x[start:stop], design) if design else x[start:stop]
+        out[start:stop] = spec.unstandardize(xd @ theta)
+        start = stop
+    return out
 
 
 def predict_cate(result: LinearFitResult, x_new):
     """Money-scale CATE predictions for new design rows."""
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x_new.shape[1] != result.theta.shape[0]:
-        raise DimensionError(
-            f"x_new has {x_new.shape[1]} columns, model expects {result.theta.shape[0]}"
-        )
-    return result.spec.unstandardize(x_new @ result.theta)
+    return predict_rows(result.theta, result.spec, x_new)
 
 
 def policy_from_cate(tau_hat, c):

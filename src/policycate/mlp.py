@@ -19,11 +19,13 @@ train/validation split at index 0, initialization at 1, shuffling at 2 and
 dropout at 3.  Identical inputs produce bitwise-identical training logs.
 
 Inference (``predict_mlp`` and the per-epoch objectives) runs one forward
-kernel, ``_scores``, over blocks of ``_BLOCK_ROWS`` raw rows.  Each call
-allocates one input buffer and one buffer per hidden layer, sized to a
-block, and standardizes, multiplies, adds biases and applies activations in
-place, so its temporaries grow with the block, not with the row count.  A
-call on at most ``_BLOCK_ROWS`` rows makes the same BLAS calls as a
+kernel, ``_scores``, over blocks of ``BLOCK_ROWS`` raw rows.  That block size
+is imported from ``policycate.linear``, its one home, which the linear
+scoring path and the dataset writer share.  Each call allocates one input
+buffer and one buffer per hidden layer, sized to a block, and standardizes,
+multiplies, adds biases and applies activations in place, so its
+temporaries grow with the block, not with the row count.  A call on at
+most ``BLOCK_ROWS`` rows makes the same BLAS calls as a
 whole-array forward pass and matches it bitwise; on more rows a short last
 block may take another BLAS kernel and differ from it in the last bit.
 """
@@ -40,12 +42,9 @@ from scipy.special import expit
 from . import rng
 from . import surrogate as sg
 from .errors import DimensionError, NonFiniteLossError, ValidationError
-from .linear import TransformedDataset
+from .linear import BLOCK_ROWS, TransformedDataset
 
 _MOMENTUM = 0.9
-# Rows per inference block.  Not below the largest split table2 trains on
-# (8,500 rows), so each per-epoch objective there is a single block.
-_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -168,12 +167,12 @@ def _scores(weights, biases, activation, x_mean, x_sd, x):
     array aliases nothing that a later call writes.
     """
     n = x.shape[0]
-    rows = min(n, _BLOCK_ROWS)
+    rows = min(n, BLOCK_ROWS)
     a_buf = np.empty((rows, x.shape[1]))
     h_bufs = [np.empty((rows, w.shape[1])) for w in weights[:-1]]
     out = np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         a = a_buf[: stop - start]
         np.subtract(x[start:stop], x_mean, out=a)
         np.divide(a, x_sd, out=a)

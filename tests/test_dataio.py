@@ -59,6 +59,16 @@ def test_save_dataset_rejects_tau_true_of_another_length(tmp_path):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("n", [1, dataio.BLOCK_ROWS, dataio.BLOCK_ROWS + 2])
+def test_blocked_dataset_rows_equal_the_whole_table(tmp_path, n):
+    sample = gen_simple(SimpleDgp(), n, seed=6)
+    ds = sample.dataset
+    dataio.save_dataset(tmp_path / "blocked.csv", ds, sample.tau_true)
+    table = np.hstack([ds.y[:, None], ds.w[:, None], ds.e[:, None], ds.x, sample.tau_true[:, None]])
+    dataio.write_csv(tmp_path / "whole.csv", ["y", "w", "e", "x1", "tau_true"], table.tolist())
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     p = tmp_path / "a.csv"
     dataio.save_dataset(p, sample_dataset().dataset)

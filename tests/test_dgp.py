@@ -13,6 +13,7 @@ from policycate.dgp import (
     oracle_policy_value,
 )
 from policycate.errors import ValidationError
+from policycate.linear import Dataset
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +124,23 @@ def test_validation_errors():
     s = gen_simple(SimpleDgp(), 10, seed=1)
     with pytest.raises(ValidationError):
         LabeledSample(dataset=s.dataset, tau_true=np.ones(3))
+
+
+@pytest.mark.parametrize("generate, dgp", [(gen_simple, SimpleDgp()), (gen_complex, ComplexDgp())])
+def test_a_draw_is_sealed_and_held_once(generate, dgp):
+    s = generate(dgp, 50, seed=5)
+    ds = s.dataset
+    for a in (ds.x, ds.w, ds.y, ds.e, s.tau_true):
+        assert not a.flags.writeable
+    again = LabeledSample(dataset=ds, tau_true=s.tau_true)
+    assert np.shares_memory(again.tau_true, s.tau_true)
+    assert np.shares_memory(Dataset(x=ds.x, w=ds.w, y=ds.y, e=ds.e).x, ds.x)
+
+
+def test_labeled_sample_copies_a_writable_tau():
+    s = gen_simple(SimpleDgp(), 10, seed=1)
+    tau = np.arange(10.0)
+    labeled = LabeledSample(dataset=s.dataset, tau_true=tau)
+    tau[:] = -1.0
+    assert np.array_equal(labeled.tau_true, np.arange(10.0))
+    assert not labeled.tau_true.flags.writeable

@@ -15,6 +15,7 @@ from policycate.errors import (
     ValidationError,
 )
 from policycate.linear import (
+    BLOCK_ROWS,
     Dataset,
     LinearFitConfig,
     LinearFitResult,
@@ -24,6 +25,8 @@ from policycate.linear import (
     ols_solution,
     policy_from_cate,
     predict_cate,
+    predict_rows,
+    read_only,
     sandwich_covariance,
     surrogate_gradient,
     surrogate_objective,
@@ -59,6 +62,62 @@ def test_dataset_validation():
         Dataset(x=[[1.0]], w=[2], y=[1.0], e=[0.5])
     with pytest.raises(DimensionError):
         Dataset(x=[[1.0], [2.0]], w=[1], y=[1.0, 2.0], e=[0.5, 0.5])
+
+
+def sealed(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_dataset_copies_writable_inputs():
+    rng = np.random.default_rng(30)
+    x, w, y = rng.normal(size=(6, 2)), np.array([0.0, 1.0] * 3), rng.normal(size=6)
+    e = np.full(6, 0.5)
+    ds = Dataset(x=x, w=w, y=y, e=e)
+    before = [a.copy() for a in (ds.x, ds.w, ds.y, ds.e)]
+    for a in (x, w, y, e):
+        a[...] = 0.25
+    assert all(np.array_equal(a, b) for a, b in zip((ds.x, ds.w, ds.y, ds.e), before))
+    assert not any(a.flags.writeable for a in (ds.x, ds.w, ds.y, ds.e))
+
+
+def test_dataset_shares_sealed_inputs():
+    rng = np.random.default_rng(31)
+    x, w = sealed(rng.normal(size=(6, 2))), sealed([0.0, 1.0] * 3)
+    y, e = sealed(rng.normal(size=6)), sealed(np.full(6, 0.5))
+    ds = Dataset(x=x, w=w, y=y, e=e)
+    for mine, stored in ((x, ds.x), (w, ds.w), (y, ds.y), (e, ds.e)):
+        assert np.shares_memory(mine, stored) and not stored.flags.writeable
+    td = transform_outcomes(ds)
+    assert np.shares_memory(td.x, ds.x) and not td.y_star.flags.writeable
+
+
+def test_transformed_dataset_follows_the_same_rule():
+    x, ys = np.ones((3, 2)), np.array([1.0, 2.0, 3.0])
+    td = TransformedDataset(x, ys)
+    x[0, 0], ys[0] = 9.0, 9.0
+    assert td.x[0, 0] == 1.0 and td.y_star[0] == 1.0
+    assert not td.x.flags.writeable and not td.y_star.flags.writeable
+    x, ys = sealed(x), sealed(ys)
+    td = TransformedDataset(x, ys)
+    assert np.shares_memory(td.x, x) and np.shares_memory(td.y_star, ys)
+
+
+def test_read_only_copies_a_sealed_view_of_a_writable_owner():
+    owner = np.arange(6.0)
+    view = owner[:]
+    view.setflags(write=False)
+    kept = read_only(view)
+    owner[0] = 7.0
+    assert kept[0] == 0.0 and not kept.flags.writeable
+    # a sealed owner and its sealed, contiguous views are shared
+    owner.setflags(write=False)
+    assert read_only(owner) is owner
+    assert read_only(owner[2:]).base is owner
+    # other dtypes and strided views are copied into float64 rows
+    assert read_only(np.arange(3)).dtype == np.float64
+    assert read_only(owner[::2]).flags.c_contiguous
 
 
 def test_transform_outcomes_examples():
@@ -317,6 +376,40 @@ def test_predict_dimension_error():
     res = fit_linear(td, LinearFitConfig(spec=SurrogateSpec.uniform(0.0, 1.0)))
     with pytest.raises(DimensionError):
         predict_cate(res, np.ones((2, 4)))
+
+
+B = BLOCK_ROWS
+WIDE_TERMS = ["1"] + [f"x{j}" for j in range(1, 11)]
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize(
+    "design, k", [(WIDE_TERMS, 10), (["1", "x2", "x1^2"], 2), (None, 11)]
+)
+@pytest.mark.parametrize("spec", [SurrogateSpec.normal(1.0, 0.5), SurrogateSpec.uniform(0.0, 2.0)])
+def test_blocked_scoring_equals_whole_design_scoring(n, design, k, spec):
+    rng = np.random.default_rng(n + k)
+    x = rng.uniform(-1.0, 2.0, size=(n, k))
+    theta = rng.normal(size=len(design) if design else k)
+    xd = build_design(x, design) if design else x
+    want = spec.unstandardize(xd @ theta)
+    got = predict_rows(theta, spec, x, design)
+    assert got.tobytes() == want.tobytes()
+    again = predict_rows(theta, spec, x, design)
+    assert not np.shares_memory(got, again)
+    assert again.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_blocked_scoring_checks_the_width_first(n):
+    spec = SurrogateSpec.normal(1.0, 1.0)
+    with pytest.raises(DimensionError):
+        predict_rows(np.ones(3), spec, np.ones((n, 2)))
+    with pytest.raises(DimensionError):  # coefficients of another design
+        predict_rows(np.ones(3), spec, np.ones((n, 2)), ["1", "x1"])
+    with pytest.raises(DimensionError):  # a term past the last column
+        predict_rows(np.ones(2), spec, np.ones((n, 2)), ["1", "x3"])
+    assert predict_rows(np.ones(3), spec, np.ones((n, 3))).shape == (n,)
 
 
 def test_policy_from_cate_weak_inequality():

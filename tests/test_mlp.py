@@ -5,9 +5,14 @@ import pytest
 from scipy.special import expit
 
 from policycate.errors import DimensionError, NonFiniteLossError, ValidationError
-from policycate.linear import LinearFitConfig, TransformedDataset, fit_linear, predict_cate
+from policycate.linear import (
+    BLOCK_ROWS,
+    LinearFitConfig,
+    TransformedDataset,
+    fit_linear,
+    predict_cate,
+)
 from policycate.mlp import (
-    _BLOCK_ROWS,
     DirectPolicyConfig,
     MlpConfig,
     MlpModel,
@@ -278,7 +283,7 @@ def whole_array_predict(model, x):
     return np.asarray(model.spec.unstandardize(scores))
 
 
-B = _BLOCK_ROWS
+B = BLOCK_ROWS
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
