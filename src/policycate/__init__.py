@@ -5,7 +5,6 @@ from .errors import (
     DataError,
     DimensionError,
     DomainError,
-    FoldError,
     NonFiniteLossError,
     OverlapError,
     PolicyCateError,
@@ -28,7 +27,6 @@ from .evaluation import (
     evaluate_model,
     ipw_policy_value,
     qini_coefficient,
-    score_predictions,
 )
 from .linear import (
     Dataset,

@@ -13,6 +13,7 @@ none) in place.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -97,36 +98,46 @@ def save_dataset(path, dataset: Dataset, tau_true=None):
 def load_dataset(path):
     """Read an experiment CSV; returns (Dataset, tau_true or None).
 
-    Validates the header (required columns named in errors), binary
-    treatment, and the propensity overlap band via the Dataset constructor.
+    Validates the header (required columns named in errors, no column
+    twice), binary treatment, and the propensity overlap band via the
+    Dataset constructor.  Blank lines are skipped, and the data rows stream
+    into ``np.loadtxt`` without a list of every line.
     """
     try:
-        with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+        f = open(path)
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
-    for required in ("y", "w", "e"):
-        if required not in header:
-            name = {"y": "outcome", "w": "treatment", "e": "propensity"}[required]
-            raise DataError(f"{path}: missing {name} column '{required}'")
-    x_names = [h for h in header if h.startswith("x")]
-    expected = [f"x{j}" for j in range(1, len(x_names) + 1)]
-    if x_names != expected:
-        raise DataError(f"{path}: covariate columns must be x1..xk in order, got {x_names}")
-    known = {"y", "w", "e", "tau_true", *expected}
-    unknown = [h for h in header if h not in known]
-    if unknown:
-        raise DataError(f"{path}: unknown columns {unknown}")
-    idx = {name: header.index(name) for name in header}
-    if len(lines) == 1:
-        raise DataError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    with f:
+        rows = filter(str.strip, f)  # skips blank and whitespace-only lines
+        line = next(rows, None)
+        if line is None:
+            raise DataError(f"{path}: empty dataset file")
+        header = line.rstrip("\n").split(",")
+        for required in ("y", "w", "e"):
+            if required not in header:
+                name = {"y": "outcome", "w": "treatment", "e": "propensity"}[required]
+                raise DataError(f"{path}: missing {name} column '{required}'")
+        x_names = [h for h in header if h.startswith("x")]
+        expected = [f"x{j}" for j in range(1, len(x_names) + 1)]
+        if x_names != expected:
+            raise DataError(f"{path}: covariate columns must be x1..xk in order, got {x_names}")
+        known = {"y", "w", "e", "tau_true", *expected}
+        unknown = [h for h in header if h not in known]
+        if unknown:
+            raise DataError(f"{path}: unknown columns {unknown}")
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise DataError(f"{path}: repeated column '{repeated[0]}'")
+        idx = {name: header.index(name) for name in header}
+        line = next(rows, None)
+        if line is None:
+            raise DataError(f"{path}: no data rows")
+        try:
+            data = np.loadtxt(
+                itertools.chain([line], rows), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     if data.shape[1] != len(header):
         raise DataError(f"{path}: expected {len(header)} fields per row, got {data.shape[1]}")
     x = data[:, [idx[name] for name in expected]] if expected else np.ones((data.shape[0], 0))

@@ -17,10 +17,6 @@ class DimensionError(ValidationError):
     """Array shapes are inconsistent with the fitted model or each other."""
 
 
-class FoldError(ValidationError):
-    """A cross-validation fold is empty or otherwise unusable."""
-
-
 class DomainError(PolicyCateError):
     """A quantity is requested where it is undefined (e.g. a truncated
     mean conditioned on an event of probability zero)."""

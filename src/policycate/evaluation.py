@@ -92,16 +92,21 @@ def qini_coefficient(scores, tau_true) -> float:
     return float(np.mean(cum_gain))
 
 
-def score_predictions(
-    preds, sample: LabeledSample, c: float, is_cate: bool, model_tag: str = ""
+def evaluate_model(
+    predict: Callable[[np.ndarray], np.ndarray],
+    sample: LabeledSample,
+    c: float,
+    is_cate: bool,
+    model_tag: str = "",
 ) -> EvalReport:
-    """Score one model's predictions on an oracle-labeled evaluation sample.
+    """Score one predictor on an oracle-labeled evaluation sample.
 
+    ``predict`` maps the sample's raw covariates to one prediction per row.
     Profit uses the policy ``1{prediction >= c}`` against the true effects;
     MSE is reported only for predictions that are CATEs; the ranking
     coefficient uses the raw predictions as scores.
     """
-    preds = np.asarray(preds, dtype=float).ravel()
+    preds = np.asarray(predict(sample.dataset.x), dtype=float).ravel()
     if preds.shape[0] != sample.dataset.n:
         raise DimensionError("need one prediction per sample row")
     profit = oracle_policy_value(sample, policy_from_cate(preds, c), c)
@@ -110,14 +115,3 @@ def score_predictions(
     return EvalReport(
         profit=profit, mse=mse, qini=qini, n_eval=sample.dataset.n, model_tag=model_tag
     )
-
-
-def evaluate_model(
-    predict: Callable[[np.ndarray], np.ndarray],
-    sample: LabeledSample,
-    c: float,
-    is_cate: bool,
-    model_tag: str = "",
-) -> EvalReport:
-    """Score one predictor on the sample's covariates; see ``score_predictions``."""
-    return score_predictions(predict(sample.dataset.x), sample, c, is_cate, model_tag)

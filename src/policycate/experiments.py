@@ -18,6 +18,7 @@ with dotted-path diagnostics.  Sections:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +28,7 @@ import numpy as np
 from . import dataio
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, gen_complex, gen_simple
 from .errors import ConfigError
-from .evaluation import evaluate_model, score_predictions
+from .evaluation import evaluate_model
 from .linear import (
     LinearFitConfig,
     build_design,
@@ -355,15 +356,24 @@ def _builtin_predictor(tag, dgp, cost):
     raise ConfigError(f"unknown builtin model tag {tag!r}")
 
 
-def _fit_ols_predictor(cfg, dgp, train_seed):
-    section = cfg["dgp"]
-    sample = _generate(dgp, section["n"], train_seed)
-    td = transform_outcomes(sample.dataset)
+def _linear_predictor(result, design):
+    """Raw-covariate scores of a linear fit on ``design``; it pickles."""
+    return functools.partial(predict_rows, result.theta, result.spec, design=design)
+
+
+def _training_draw(dgp, n, seed):
+    """A transformed training draw, raw and on its default linear design.
+
+    Returns ``(td_raw, td_lin, design, ols)``, where ``ols`` predicts with the
+    least-squares fit (the uniform threshold limit) on ``td_lin``.
+    """
+    sample = _generate(dgp, n, seed)
+    td_raw = transform_outcomes(sample.dataset)
     design = _default_design(sample.dataset.k)
-    td = td.with_design(build_design(sample.dataset.x, design))
-    spec = spec_for_sigma("normal", dgp.cost, math.inf)
-    res = fit_linear(td, LinearFitConfig(spec=spec))
-    return lambda x_raw: predict_rows(res.theta, res.spec, x_raw, design)
+    td_lin = td_raw.with_design(build_design(sample.dataset.x, design))
+    spec_inf = spec_for_sigma("normal", dgp.cost, math.inf)
+    ols = _linear_predictor(fit_linear(td_lin, LinearFitConfig(spec=spec_inf)), design)
+    return td_raw, td_lin, design, ols
 
 
 def run_evaluate(cfg, model_arg, out_path, replications=None):
@@ -382,18 +392,20 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
     reps = int(replications) if replications else 1
     cost = dgp.cost
 
+    tag = model_arg
+    if model_arg in ("oracle", "mail", "no_mail"):
+        predictor, is_cate = _builtin_predictor(model_arg, dgp, cost)
+    elif model_arg == "ols":
+        is_cate = True  # the predictor is refit for each replication below
+    else:
+        loaded = dataio.load_model(model_arg)
+        predictor, is_cate = loaded.predict, loaded.is_cate
+        tag = os.path.splitext(os.path.basename(model_arg))[0]
+
     reports = []
     for r in range(reps):
-        tag = model_arg
-        if model_arg in ("oracle", "mail", "no_mail"):
-            predictor, is_cate = _builtin_predictor(model_arg, dgp, cost)
-        elif model_arg == "ols":
-            predictor = _fit_ols_predictor(cfg, dgp, int(cfg["dgp"]["seed"]) + r)
-            is_cate = True
-        else:
-            loaded = dataio.load_model(model_arg)
-            predictor, is_cate = loaded.predict, loaded.is_cate
-            tag = os.path.splitext(os.path.basename(model_arg))[0]
+        if model_arg == "ols":
+            *_, predictor = _training_draw(dgp, cfg["dgp"]["n"], int(cfg["dgp"]["seed"]) + r)
         sample = _generate(dgp, eval_n, eval_seed + r)
         report = evaluate_model(predictor, sample, cost, is_cate, model_tag=tag)
         reports.append(report)
@@ -549,20 +561,25 @@ def _table2_params(cfg):
     return params, dgp
 
 
+def _policy_score(model, cost, x):
+    # the policy score thresholds at zero; shifting by the cost lets the
+    # generic 1{score >= cost} rule reproduce its decisions (ranking and
+    # hence the ranking metric are shift-invariant)
+    return predict_mlp(model, x) + cost
+
+
 def _table2_fit_rep(args):
-    """One training replication: all fitted models, no evaluation."""
+    """One training replication: all fitted models, no evaluation.
+
+    Returns ``(rep, models, selected)``: ``models`` lists ``(tag, sigma,
+    predictor, is_cate)`` in ``TABLE2_MODEL_ORDER``, with predictors that
+    pickle, and ``selected`` is the replication's CV choices as JSON.
+    """
     rep, params, dgp = args
     train_seed = params["train_seed"] + rep
-    sample = _generate(dgp, params["train_n"], train_seed)
-    td_raw = transform_outcomes(sample.dataset)
-    design = _default_design(sample.dataset.k)
-    td_lin = td_raw.with_design(build_design(sample.dataset.x, design))
+    td_raw, td_lin, design, ols = _training_draw(dgp, params["train_n"], train_seed)
     cost = dgp.cost
-    out = {"rep": rep, "design": design}
-
-    # least-squares baseline (uniform threshold limit)
-    spec_inf = spec_for_sigma("normal", cost, math.inf)
-    out["ols"] = fit_linear(td_lin, LinearFitConfig(spec=spec_inf))
+    models = [("ols", None, ols, True)]
 
     # sigma-tuned linear models, both selection criteria
     lin_fit = linear_fit_function()
@@ -575,11 +592,10 @@ def _table2_fit_rep(args):
         seed=train_seed,
         cost=cost,
     )
-    out["cv_linear"] = (cv_lin.sigma_mse, cv_lin.sigma_profit)
     for tag, sigma in (("linear_sigma_mse", cv_lin.sigma_mse), ("linear_sigma_profit", cv_lin.sigma_profit)):
         spec = spec_for_sigma("normal", cost, sigma)
         fit_cfg = LinearFitConfig(spec=spec, max_iters=SIGMA_FIT_MAX_ITERS)
-        out[tag] = (sigma, fit_linear(td_lin, fit_cfg))
+        models.append((tag, sigma, _linear_predictor(fit_linear(td_lin, fit_cfg), design), True))
 
     # sigma-tuned surrogate networks, both criteria
     mlp_cfg = _mlp_config(params["mlp"], seed_default=train_seed)
@@ -592,18 +608,23 @@ def _table2_fit_rep(args):
         seed=train_seed,
         cost=cost,
     )
-    out["cv_mlp"] = (cv_mlp.sigma_mse, cv_mlp.sigma_profit)
     trained = {}
     for tag, sigma in (("mlp_sigma_mse", cv_mlp.sigma_mse), ("mlp_sigma_profit", cv_mlp.sigma_profit)):
         if sigma not in trained:
             spec = spec_for_sigma("normal", cost, sigma)
             trained[sigma] = train_surrogate_mlp(td_raw, spec, mlp_cfg)
-        out[tag] = (sigma, trained[sigma])
+        models.append((tag, sigma, functools.partial(predict_mlp, trained[sigma]), True))
 
     # direct policy network
     policy_cfg = DirectPolicyConfig(mlp=mlp_cfg, temperature=params["policy_temperature"])
-    out["policy_mlp"] = train_direct_policy(td_raw, cost, policy_cfg)
-    return out
+    policy = train_direct_policy(td_raw, cost, policy_cfg)
+    models.append(("policy_mlp", None, functools.partial(_policy_score, policy, cost), False))
+    selected = {
+        "rep": rep,
+        "linear": [dataio.json_sigma(v) for v in (cv_lin.sigma_mse, cv_lin.sigma_profit)],
+        "mlp": [dataio.json_sigma(v) for v in (cv_mlp.sigma_mse, cv_mlp.sigma_profit)],
+    }
+    return rep, models, selected
 
 
 def run_table2(cfg, out_dir, jobs=1):
@@ -620,23 +641,17 @@ def run_table2(cfg, out_dir, jobs=1):
     params, dgp = _table2_params(cfg)
     eval_sample = _generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
-    eval_x = eval_sample.dataset.x
-
-    # deterministic rows: the shared baselines need no training draw, and are
-    # scored as `evaluate` scores the same builtin tags
-    baselines = []
-    for tag in ("oracle", "mail", "no_mail"):
-        predictor, is_cate = _builtin_predictor(tag, dgp, cost)
-        baselines.append(evaluate_model(predictor, eval_sample, cost, is_cate, model_tag=tag))
 
     rep_args = [(rep, params, dgp) for rep in range(params["replications"])]
     per_model = {tag: [] for tag in TABLE2_MODEL_ORDER}
     runs = []
     selected = []
 
-    def record(rep, sigma, report):
-        runs.append((rep, report.model_tag, sigma, report.profit, report.mse, report.qini))
-        per_model[report.model_tag].append(report)
+    def score(rep, models):
+        for tag, sigma, predictor, is_cate in models:
+            report = evaluate_model(predictor, eval_sample, cost, is_cate, model_tag=tag)
+            runs.append((rep, tag, sigma, report.profit, report.mse, report.qini))
+            per_model[tag].append(report)
 
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
@@ -644,38 +659,17 @@ def run_table2(cfg, out_dir, jobs=1):
             fitted_iter = pool.map(_table2_fit_rep, rep_args)
         else:
             fitted_iter = map(_table2_fit_rep, rep_args)
-        for rep_out in fitted_iter:  # evaluate each replication as it lands
-            rep, design = rep_out["rep"], rep_out["design"]
-            res = rep_out["ols"]
-            preds = predict_rows(res.theta, res.spec, eval_x, design)
-            record(rep, None, score_predictions(preds, eval_sample, cost, True, "ols"))
-            for tag in ("linear_sigma_mse", "linear_sigma_profit"):
-                sigma, res = rep_out[tag]
-                preds = predict_rows(res.theta, res.spec, eval_x, design)
-                record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
-            for tag in ("mlp_sigma_mse", "mlp_sigma_profit"):
-                sigma, model = rep_out[tag]
-                preds = predict_mlp(model, eval_x)
-                record(rep, sigma, score_predictions(preds, eval_sample, cost, True, tag))
-            # the policy score thresholds at zero; shifting by the cost lets the
-            # generic 1{score >= cost} rule reproduce its decisions (ranking and
-            # hence the ranking metric are shift-invariant)
-            preds = predict_mlp(rep_out["policy_mlp"], eval_x) + cost
-            report = score_predictions(preds, eval_sample, cost, False, "policy_mlp")
-            record(rep, None, report)
-            selected.append(
-                {
-                    "rep": rep,
-                    "linear": [dataio.json_sigma(v) for v in rep_out["cv_linear"]],
-                    "mlp": [dataio.json_sigma(v) for v in rep_out["cv_mlp"]],
-                }
-            )
+        for rep, models, rep_selected in fitted_iter:  # score each replication as it lands
+            score(rep, models)
+            selected.append(rep_selected)
     finally:
         # a failed replication must not leave queued work or live workers
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    for report in baselines:
-        record(None, None, report)
+    # the shared baselines need no training draw; they are scored as
+    # `evaluate` scores the same builtin tags
+    baselines = ("oracle", "mail", "no_mail")
+    score(None, [(tag, None, *_builtin_predictor(tag, dgp, cost)) for tag in baselines])
 
     summary = {tag: _mean_sd(per_model[tag]) for tag in TABLE2_MODEL_ORDER}
     summary["_runs"] = {

@@ -215,6 +215,28 @@ def test_evaluate_replication_r_scores_on_eval_seed_plus_r(tmp_path, monkeypatch
     assert eval_seeds == [99, 100, 101]
 
 
+def test_evaluate_loads_a_saved_model_once(tmp_path, monkeypatch):
+    loads = []
+    load_model = dataio.load_model
+
+    def counting_load_model(path):
+        loads.append(path)
+        return load_model(path)
+
+    monkeypatch.setattr(dataio, "load_model", counting_load_model)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "linear", "family": "normal", "cost": 1.0, "sigma": 1.0,
+        "theta": [0.1, 0.2], "design": ["1", "x1"],
+    }))
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    out = tmp_path / "summary.csv"
+    args = ["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]
+    assert main(args + ["--replications", "3"]) == 0
+    assert loads == [str(model)]
+    assert len((tmp_path / "summary_rounds.csv").read_text().splitlines()) == 4
+
+
 def test_cv_command_outputs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     sim_dir = tmp_path / "sim"
@@ -500,6 +522,22 @@ def test_table2_golden_outputs_and_worker_count_invariance(tmp_path):
     assert_csv_matches(files["table2.csv"], GOLDEN_TABLE2_CSV)
     assert_csv_matches(files["table2_runs.csv"], GOLDEN_TABLE2_RUNS_CSV)
     assert json.loads(files["table2_selected_sigmas.json"]) == GOLDEN_TABLE2_SIGMAS
+
+
+def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
+    # `evaluate --model ols` and table2 fit OLS on the same training draw and
+    # score it through the same path, so rep 0's row is reproduced bit for bit
+    doc = {
+        "dgp": {"name": "complex", "n": 600, "seed": 1},
+        "evaluation": {"n": 5000, "seed": 990000},
+    }
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "ols.csv"
+    assert main(["evaluate", "--model", "ols", "--config", cfg, "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    golden = GOLDEN_TABLE2_RUNS_CSV.splitlines()[1].split(",")
+    assert golden[:2] == ["0", "ols"]
+    assert row[:4] == ["ols"] + golden[3:6]
 
 
 # SHA-256 of every file written by a few fixed-seed commands whose outputs

@@ -120,6 +120,14 @@ def test_loader_validates_overlap_and_treatment(tmp_path):
         dataio.load_dataset(p)
 
 
+@pytest.mark.parametrize("column", ["y", "tau_true"])
+def test_loader_rejects_a_repeated_column(tmp_path, column):
+    p = tmp_path / "twice.csv"
+    p.write_text(f"y,w,e,x1,tau_true,{column}\n1.0,1,0.5,0.5,2.0,3.0\n")
+    with pytest.raises(DataError, match=f"twice.csv: repeated column '{column}'"):
+        dataio.load_dataset(p)
+
+
 def test_header_only_dataset_is_a_data_error(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("y,w,e,x1\n")

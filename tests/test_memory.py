@@ -1,4 +1,5 @@
-"""Peak traced memory of the 1e6-row scoring path, bounded by what it keeps.
+"""Peak traced memory of the 1e6-row scoring path and the dataset I/O,
+bounded by what they keep.
 
 Each bound sits well under the peak of the whole-array code this path
 replaced (in parentheses, measured with the same calls) and above the
@@ -60,3 +61,11 @@ def test_dataset_writer_formats_rows_in_blocks(tmp_path):
     s = gen_complex(ComplexDgp(), 100_000, seed=4)
     peak = traced_peak(lambda: dataio.save_dataset(tmp_path / "d.csv", s.dataset, s.tau_true))
     assert peak < 24 * MiB  # (59.5 MiB when the whole table became Python floats)
+
+
+def test_dataset_loader_streams_its_rows(tmp_path):
+    s = gen_complex(ComplexDgp(), 100_000, seed=4)
+    path = tmp_path / "d.csv"
+    dataio.save_dataset(path, s.dataset, s.tau_true)  # an 18.6 MB file
+    peak = traced_peak(lambda: dataio.load_dataset(path))
+    assert peak < 40 * MiB  # (53.6 MiB with every line of the file in a list)
