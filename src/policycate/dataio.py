@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, ValidationError
 from .linear import BLOCK_ROWS, Dataset, LinearFitResult, predict_rows
 from .mlp import MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
@@ -107,37 +107,42 @@ def load_dataset(path):
         f = open(path)
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
-    with f:
-        rows = filter(str.strip, f)  # skips blank and whitespace-only lines
-        line = next(rows, None)
-        if line is None:
-            raise DataError(f"{path}: empty dataset file")
-        header = line.rstrip("\n").split(",")
-        for required in ("y", "w", "e"):
-            if required not in header:
-                name = {"y": "outcome", "w": "treatment", "e": "propensity"}[required]
-                raise DataError(f"{path}: missing {name} column '{required}'")
-        x_names = [h for h in header if h.startswith("x")]
-        expected = [f"x{j}" for j in range(1, len(x_names) + 1)]
-        if x_names != expected:
-            raise DataError(f"{path}: covariate columns must be x1..xk in order, got {x_names}")
-        known = {"y", "w", "e", "tau_true", *expected}
-        unknown = [h for h in header if h not in known]
-        if unknown:
-            raise DataError(f"{path}: unknown columns {unknown}")
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise DataError(f"{path}: repeated column '{repeated[0]}'")
-        idx = {name: header.index(name) for name in header}
-        line = next(rows, None)
-        if line is None:
-            raise DataError(f"{path}: no data rows")
-        try:
-            data = np.loadtxt(
-                itertools.chain([line], rows), delimiter=",", comments=None, ndmin=2
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+    try:
+        with f:
+            rows = filter(str.strip, f)  # skips blank and whitespace-only lines
+            line = next(rows, None)
+            if line is None:
+                raise DataError(f"{path}: empty dataset file")
+            header = line.rstrip("\n").split(",")
+            for required in ("y", "w", "e"):
+                if required not in header:
+                    name = {"y": "outcome", "w": "treatment", "e": "propensity"}[required]
+                    raise DataError(f"{path}: missing {name} column '{required}'")
+            x_names = [h for h in header if h.startswith("x")]
+            expected = [f"x{j}" for j in range(1, len(x_names) + 1)]
+            if x_names != expected:
+                raise DataError(
+                    f"{path}: covariate columns must be x1..xk in order, got {x_names}"
+                )
+            known = {"y", "w", "e", "tau_true", *expected}
+            unknown = [h for h in header if h not in known]
+            if unknown:
+                raise DataError(f"{path}: unknown columns {unknown}")
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise DataError(f"{path}: repeated column '{repeated[0]}'")
+            idx = {name: header.index(name) for name in header}
+            line = next(rows, None)
+            if line is None:
+                raise DataError(f"{path}: no data rows")
+            try:
+                data = np.loadtxt(
+                    itertools.chain([line], rows), delimiter=",", comments=None, ndmin=2
+                )
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if data.shape[1] != len(header):
         raise DataError(f"{path}: expected {len(header)} fields per row, got {data.shape[1]}")
     x = data[:, [idx[name] for name in expected]] if expected else np.ones((data.shape[0], 0))
@@ -218,6 +223,16 @@ def save_mlp_model(path, model: MlpModel):
 
 
 def save_training_log(path, model: MlpModel):
+    """Write the ``epoch,train_obj,val_obj`` CSV of a network's training.
+
+    The network must have been trained with ``log_train_objective=True``;
+    a log whose train column holds NaN is refused.
+    """
+    if any(math.isnan(train_obj) for _, train_obj, _ in model.training_log):
+        raise ValidationError(
+            "the training log has no train-split objective; "
+            "train with log_train_objective=True to write it"
+        )
     write_csv(path, ["epoch", "train_obj", "val_obj"], model.training_log)
 
 
@@ -267,6 +282,8 @@ def load_model(path) -> LoadedModel:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: a model file holds a JSON object")
     build = {"linear": _linear_predictor, "mlp": _mlp_predictor}.get(doc.get("kind"))

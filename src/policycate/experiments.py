@@ -327,12 +327,12 @@ def run_fit(data_path, cfg, out_dir):
 
     mlp_cfg = _mlp_config(model_cfg.get("mlp"))
     if model_cfg["type"] == "mlp":
-        model = train_surrogate_mlp(td, spec, mlp_cfg)
+        model = train_surrogate_mlp(td, spec, mlp_cfg, log_train_objective=True)
     else:
         policy_cfg = DirectPolicyConfig(
             mlp=mlp_cfg, temperature=float(model_cfg.get("temperature", 0.1))
         )
-        model = train_direct_policy(td, spec.cost, policy_cfg)
+        model = train_direct_policy(td, spec.cost, policy_cfg, log_train_objective=True)
     dataio.save_mlp_model(model_path, model)
     log_path = os.path.join(out_dir, "training_log.csv")
     dataio.save_training_log(log_path, model)

@@ -11,12 +11,21 @@ thresholds units but is not a CATE.
 Training is plain mini-batch SGD with momentum 0.9, optional weight decay,
 inverted dropout on hidden activations, optional global-norm gradient
 clipping, and early stopping on the validation objective (the returned
-model is the best-validation snapshot).  Inputs are standardized per
-feature with statistics of the training split, which stands in for batch
-normalization and keeps training deterministic.  All randomness comes from
+model is the best-validation snapshot).  Momentum buffers and weights are
+updated in place.  Inputs are standardized per feature with statistics of
+the training split, which stands in for batch normalization and keeps
+training deterministic.  All randomness comes from
 ``policycate.rng.streams(config seed, 4)``, one stream per purpose: the
 train/validation split at index 0, initialization at 1, shuffling at 2 and
 dropout at 3.  Identical inputs produce bitwise-identical training logs.
+
+After each epoch the training log records the validation objective, which
+drives early stopping, and the train-split objective only when the caller
+asks for it with ``log_train_objective=True``; otherwise that column is NaN.
+Scoring the train split takes most of the per-epoch objective time, and
+only ``policycate fit`` writes the log, so ``fit`` asks for it and ``cv``
+and ``table2`` do not.  The flag draws no random numbers, so it changes no
+weight, no best epoch and no validation objective.
 
 Inference (``predict_mlp`` and the per-epoch objectives) runs one forward
 kernel, ``_scores``, over blocks of ``BLOCK_ROWS`` raw rows.  That block size
@@ -239,7 +248,7 @@ def _batch_gradients(
     return batch_loss, grads_w, grads_b
 
 
-def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
+def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta, log_train_objective):
     n, k = x.shape
     if n < 10:
         raise ValidationError("need at least 10 observations to train")
@@ -298,20 +307,20 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
                 norm = _global_norm(grads_w, grads_b)
                 if norm > cfg.grad_clip_norm:
                     scale = cfg.grad_clip_norm / norm
-                    grads_w = [gw * scale for gw in grads_w]
-                    grads_b = [gb * scale for gb in grads_b]
+                    for g in (*grads_w, *grads_b):
+                        g *= scale
 
-            for layer in range(len(weights)):
-                vel_w[layer] = _MOMENTUM * vel_w[layer] - lr * grads_w[layer]
-                vel_b[layer] = _MOMENTUM * vel_b[layer] - lr * grads_b[layer]
-                weights[layer] = weights[layer] + vel_w[layer]
-                biases[layer] = biases[layer] + vel_b[layer]
-                if not (
-                    np.all(np.isfinite(weights[layer])) and np.all(np.isfinite(biases[layer]))
-                ):
+            for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grads_w, grads_b):
+                vw *= _MOMENTUM
+                vw -= lr * gw
+                vb *= _MOMENTUM
+                vb -= lr * gb
+                w += vw
+                b += vb
+                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                     raise NonFiniteLossError(f"non-finite parameters at epoch {epoch}")
 
-        train_obj = data_objective(x_tr, ys_tr)
+        train_obj = data_objective(x_tr, ys_tr) if log_train_objective else math.nan
         val_obj = data_objective(x_val, ys_val)
         log.append((epoch, train_obj, val_obj))
         if val_obj < best_val:
@@ -337,11 +346,19 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta):
     )
 
 
-def train_surrogate_mlp(td: TransformedDataset, spec: sg.SurrogateSpec, cfg: MlpConfig):
+def train_surrogate_mlp(
+    td: TransformedDataset,
+    spec: sg.SurrogateSpec,
+    cfg: MlpConfig,
+    *,
+    log_train_objective: bool = False,
+):
     """Fit the network by minimizing the negated surrogate objective.
 
     The network output is the internal-scale score; the final-layer upstream
     gradient is the negated analytic derivative of the per-observation term.
+    With ``log_train_objective`` the training log holds the train-split
+    objective after each epoch; without it that column is NaN.
     """
 
     def head_loss(scores, ys):
@@ -351,11 +368,20 @@ def train_surrogate_mlp(td: TransformedDataset, spec: sg.SurrogateSpec, cfg: Mlp
         return -np.asarray(sg.dloss_dtau(spec, scores, ys))
 
     meta = {"head": "surrogate", "spec": spec, "cost": spec.cost, "temperature": None}
-    return _train(td.x, td.y_star, cfg, head_loss, head_dloss, meta)
+    return _train(td.x, td.y_star, cfg, head_loss, head_dloss, meta, log_train_objective)
 
 
-def train_direct_policy(td: TransformedDataset, c: float, cfg: DirectPolicyConfig):
-    """Fit a smoothed policy score by maximizing mean sigmoid(s/T) * (y* - c)."""
+def train_direct_policy(
+    td: TransformedDataset,
+    c: float,
+    cfg: DirectPolicyConfig,
+    *,
+    log_train_objective: bool = False,
+):
+    """Fit a smoothed policy score by maximizing mean sigmoid(s/T) * (y* - c).
+
+    ``log_train_objective`` means what it does for :func:`train_surrogate_mlp`.
+    """
     temp = cfg.temperature
 
     def head_loss(scores, ys):
@@ -366,7 +392,7 @@ def train_direct_policy(td: TransformedDataset, c: float, cfg: DirectPolicyConfi
         return -(ys - c) * p * (1.0 - p) / temp
 
     meta = {"head": "policy", "spec": None, "cost": float(c), "temperature": temp}
-    return _train(td.x, td.y_star, cfg.mlp, head_loss, head_dloss, meta)
+    return _train(td.x, td.y_star, cfg.mlp, head_loss, head_dloss, meta, log_train_objective)
 
 
 def predict_mlp(model: MlpModel, x_new):

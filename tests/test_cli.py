@@ -131,6 +131,14 @@ def test_fit_missing_column_exits_3(tmp_path):
     assert main(["fit", "--data", str(bad), "--config", cfg, "--out", str(tmp_path / "f")]) == 3
 
 
+def test_fit_on_a_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"y,w,e,x1\xff\n1.0,1,0.5,0.2\n")
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    assert main(["fit", "--data", str(bad), "--config", cfg, "--out", str(tmp_path / "f")]) == 3
+    assert "bad.csv: not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_fit_network_without_covariates_exits_2(tmp_path, capsys, activation):
     rng = np.random.default_rng(0)
@@ -153,6 +161,15 @@ def test_evaluate_malformed_model_exits_3(tmp_path, capsys):
     argv = ["evaluate", "--model", str(model), "--config", cfg, "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 3
     assert "model.json" in capsys.readouterr().err
+
+
+def test_evaluate_model_that_is_not_utf8_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    model = tmp_path / "model.json"
+    model.write_bytes(b'{"kind": "linear"\xff}')
+    argv = ["evaluate", "--model", str(model), "--config", cfg, "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 3
+    assert "model.json: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_evaluate_linear_model_of_another_width_exits_2(tmp_path, capsys):
@@ -540,13 +557,22 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
     assert row[:4] == ["ols"] + golden[3:6]
 
 
-# SHA-256 of every file written by a few fixed-seed commands whose outputs
-# involve no matrix products, recorded before the CSV/JSON writers were
-# merged into dataio.write_csv/write_json; the writers must keep every byte
+# SHA-256 of every file written by a few fixed-seed commands, recorded before
+# the CSV/JSON writers were merged into dataio.write_csv/write_json; the
+# writers must keep every byte.  The two network fits (recorded before the
+# train-split objective became opt-in) also pin the training loop, so their
+# model.json and training_log.csv must keep every byte too.  Unlike the other
+# files they depend on matrix products: they are too small for a BLAS thread
+# split, and relu keeps them off numpy's CPU-specific tanh kernels, but a
+# BLAS build that sums in another order would need them re-recorded.
 GOLDEN_OUTPUT_SHA256 = {
     "curve/curve_sigma_0.5.csv": "c88321c44dfc8edd8f07b950e36e0246eb0d41fd548e3f20316138a85d39e2b8",
     "curve/curve_sigma_inf.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
     "curve/curve_sigma_uniform.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
+    "fit_mlp/model.json": "22d8166e7637da396d727273d9f1b49776483ba475b3714e19ef7dc24a0766aa",
+    "fit_mlp/training_log.csv": "514ce1ba05c6f2ccb1015c87c8dd6641815d8956dadf49420a9032d217702b49",
+    "fit_policy/model.json": "581aeb33bfbbe14b65f554577d5331d8b35b70d160df337d42e83d7a6978a308",
+    "fit_policy/training_log.csv": "466e3d44cfecbab58b2bbe4fe9b513a017fd2affb9c38e6a00b90e3533af8b0f",
     "mail.csv": "123103a73c37ed0fb0061fc812a6adfe4e7819a82df77c463c95bf2e52df9ee9",
     "mail_rounds.csv": "abe887e70ffdebf0e00b6fb528719e63681257df8e940f2fc85b81cda9b78a8e",
     "oracle.csv": "27a22a96c7e53c2ec81367a4ff70067a934434a4a6a5d0be7eb7354ae29eb840",
@@ -560,7 +586,23 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
     doc["dgp"]["n"] = 60
     doc["evaluation"]["n"] = 300
     cfg = write_config(tmp_path / "cfg.json", doc)
+    net = {
+        "hidden_sizes": [5],
+        "activation": "relu",
+        "weight_decay": 0.001,
+        "dropout_rate": 0.2,
+        "grad_clip_norm": 0.5,
+        "batch_size": 16,
+        "max_epochs": 40,
+        "early_stop_patience": 4,
+        "seed": 3,
+    }
+    nets = {
+        "mlp": {"type": "mlp", "family": "normal", "sigma": 1.0, "cost": 1.0, "mlp": net},
+        "policy": {"type": "policy", "cost": 1.0, "temperature": 0.2, "mlp": net},
+    }
     out = tmp_path / "out"
+    data = str(out / "sim" / "simple_rep000_seed7.csv")
     commands = [
         ["simulate", "--config", cfg, "--out", str(out / "sim"), "--with-oracle"],
         ["curve", "--tau0", "2", "--cost", "1", "--family", "normal", "--sigma", "0.5",
@@ -571,6 +613,11 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--replications", "2"],
         ["evaluate", "--model", "oracle", "--config", cfg, "--out", str(out / "oracle.csv"),
          "--replications", "2"],
+    ] + [
+        ["fit", "--data", data, "--config",
+         write_config(tmp_path / f"cfg_{kind}.json", dict(doc, model=model)),
+         "--out", str(out / f"fit_{kind}")]
+        for kind, model in nets.items()
     ]
     for argv in commands:
         assert main(argv) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from policycate import dataio
 from policycate.dgp import SimpleDgp, gen_simple
-from policycate.errors import DataError, DimensionError
+from policycate.errors import DataError, DimensionError, ValidationError
 from policycate.linear import (
     Dataset,
     LinearFitConfig,
@@ -167,7 +167,8 @@ def test_mlp_model_roundtrip(tmp_path):
     sample = sample_dataset()
     td = transform_outcomes(sample.dataset)
     spec = SurrogateSpec.logistic(1.0, 0.5)
-    model = train_surrogate_mlp(td, spec, MlpConfig(hidden_sizes=(6,), max_epochs=5, seed=2))
+    cfg = MlpConfig(hidden_sizes=(6,), max_epochs=5, seed=2)
+    model = train_surrogate_mlp(td, spec, cfg, log_train_objective=True)
     path = tmp_path / "model.json"
     dataio.save_mlp_model(path, model)
     loaded = dataio.load_model(path)
@@ -180,6 +181,16 @@ def test_mlp_model_roundtrip(tmp_path):
     lines = log_path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_obj,val_obj"
     assert len(lines) == len(model.training_log) + 1
+
+
+def test_training_log_without_train_objective_is_rejected(tmp_path):
+    td = transform_outcomes(sample_dataset().dataset)
+    cfg = MlpConfig(hidden_sizes=(4,), max_epochs=3, seed=2)
+    model = train_surrogate_mlp(td, SurrogateSpec.normal(1.0, 1.0), cfg)
+    log_path = tmp_path / "log.csv"
+    with pytest.raises(ValidationError, match="log_train_objective=True"):
+        dataio.save_training_log(log_path, model)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_policy_model_roundtrip(tmp_path):
@@ -228,6 +239,20 @@ def test_linear_model_without_design_checks_row_width(tmp_path):
     with pytest.raises(DimensionError, match="x has 1 features, model expects 3"):
         loaded.predict(sample_dataset().dataset.x)
     assert loaded.predict(np.ones((4, 3))).shape == (4,)
+
+
+def test_dataset_that_is_not_utf8_is_a_data_error(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"y,w,e,x1\xff\n1.0,1,0.5,0.2\n")
+    with pytest.raises(DataError, match="latin.csv: not UTF-8 text"):
+        dataio.load_dataset(p)
+
+
+def test_model_that_is_not_utf8_is_a_data_error(tmp_path):
+    p = tmp_path / "model.json"
+    p.write_bytes(b'{"kind": "linear"\xff}')
+    with pytest.raises(DataError, match="model.json: not UTF-8 text"):
+        dataio.load_model(p)
 
 
 def test_unknown_model_kind(tmp_path):

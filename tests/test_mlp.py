@@ -110,14 +110,56 @@ def test_training_is_seed_deterministic():
     td = small_problem(rng)
     spec = SurrogateSpec.normal(1.0, 1.0)
     cfg = MlpConfig(hidden_sizes=(8,), max_epochs=12, batch_size=64, seed=5, dropout_rate=0.2)
-    m1 = train_surrogate_mlp(td, spec, cfg)
-    m2 = train_surrogate_mlp(td, spec, cfg)
+    m1 = train_surrogate_mlp(td, spec, cfg, log_train_objective=True)
+    m2 = train_surrogate_mlp(td, spec, cfg, log_train_objective=True)
     assert m1.training_log == m2.training_log
     for w1, w2 in zip(m1.weights, m2.weights):
         assert np.array_equal(w1, w2)
     preds1 = predict_mlp(m1, td.x)
     preds2 = predict_mlp(m2, td.x)
     assert np.array_equal(preds1, preds2)
+
+
+TRAINERS = {
+    "surrogate": lambda td, cfg, **kw: train_surrogate_mlp(
+        td, SurrogateSpec.logistic(1.0, 0.7), cfg, **kw
+    ),
+    "policy": lambda td, cfg, **kw: train_direct_policy(
+        td, 1.0, DirectPolicyConfig(mlp=cfg, temperature=0.3), **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("head", TRAINERS)
+def test_train_objective_flag_changes_only_the_train_column(head):
+    # dropout, clipping and weight decay are all on, so every RNG stream and
+    # every branch of the update runs; skipping the train-split objective
+    # must not move any of them
+    td = small_problem(np.random.default_rng(6), n=200, noise=2.0)
+    cfg = MlpConfig(
+        hidden_sizes=(8, 4),
+        activation="tanh",
+        weight_decay=1e-3,
+        dropout_rate=0.2,
+        grad_clip_norm=0.5,
+        batch_size=16,
+        learning_rate=0.05,
+        max_epochs=60,
+        early_stop_patience=4,
+        seed=11,
+    )
+    on = TRAINERS[head](td, cfg, log_train_objective=True)
+    off = TRAINERS[head](td, cfg)
+    assert len(on.training_log) < cfg.max_epochs  # early stopping fired
+    for name in ("weights", "biases"):
+        for a, b in zip(getattr(on, name), getattr(off, name), strict=True):
+            assert np.array_equal(a, b)
+    assert np.array_equal(on.x_mean, off.x_mean) and np.array_equal(on.x_sd, off.x_sd)
+    assert on.best_epoch == off.best_epoch
+    assert on.best_val_objective == off.best_val_objective
+    assert [(e, v) for e, _, v in on.training_log] == [(e, v) for e, _, v in off.training_log]
+    assert all(np.isfinite(t) for _, t, _ in on.training_log)
+    assert all(np.isnan(t) for _, t, _ in off.training_log)
 
 
 def test_early_stopping_returns_best_snapshot():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from policycate import (
@@ -47,6 +49,22 @@ def random_specs(rng, n):
         else:
             specs.append(SurrogateSpec(fam, c, float(rng.uniform(0.1, 4))))
     return specs
+
+
+def _spec_of(family, cost, scale):
+    if family == "uniform":
+        return SurrogateSpec.uniform(cost - scale, cost + scale, cost=cost)
+    return SurrogateSpec(family, cost, scale)
+
+
+# every family; cost and scale (the uniform half-width) away from degenerate values
+SPECS = st.builds(
+    _spec_of,
+    st.sampled_from(["normal", "logistic", "uniform"]),
+    st.floats(-5.0, 5.0),
+    st.floats(0.05, 5.0),
+)
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------- construction
@@ -218,6 +236,16 @@ def test_gradient_consistency_random_sweep():
         assert abs(d2 - fd2) / (1 + abs(d2)) < 1e-4
 
 
+@PROPERTY_SETTINGS
+@given(SPECS, st.floats(-40.0, 40.0), st.floats(-10.0, 10.0))
+def test_dloss_matches_central_differences_of_loss(spec, tau_bar, y_star):
+    h = 1e-4
+    up, down = loss_q(spec, tau_bar + h, y_star), loss_q(spec, tau_bar - h, y_star)
+    d = dloss_dtau(spec, tau_bar, y_star)
+    # rounding in the difference grows with |loss|, truncation with h^2
+    assert abs(d - (up - down) / (2 * h)) <= 1e-6 * (1 + abs(d)) + 1e-14 * abs(up) / h
+
+
 # ------------------------------------------------------------- scalar obj
 
 
@@ -246,6 +274,19 @@ def test_non_division_identity():
             if F <= 1e-6 or (spec.family is Family.UNIFORM and tau <= spec.uniform_lo):
                 continue
             assert abs(partial_mean(spec, tau) - F * kappa(spec, tau)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(SPECS, st.floats(-6.0, 6.0))
+def test_partial_mean_is_cdf_times_kappa(spec, z):
+    # tau sits z scales (uniform: half-widths) from the cost; the identity is
+    # checked where F_C is not vanishingly small, since kappa needs F_C > 0
+    uniform = spec.family is Family.UNIFORM
+    tau = spec.cost + z * (0.5 * (spec.uniform_hi - spec.uniform_lo) if uniform else spec.scale)
+    F = cdf(spec, tau)
+    assume(F > 1e-6)
+    want = F * kappa(spec, tau)
+    assert partial_mean(spec, tau) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_scalar_argmax_examples():
