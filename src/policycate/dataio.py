@@ -236,7 +236,7 @@ def save_training_log(path, model: MlpModel):
     write_csv(path, ["epoch", "train_obj", "val_obj"], model.training_log)
 
 
-def _linear_predictor(doc):
+def _loaded_linear(doc):
     spec = _spec_from_json(doc)
     theta = np.asarray(doc["theta"], dtype=float)
     design = doc.get("design")
@@ -249,7 +249,7 @@ def _linear_predictor(doc):
     )
 
 
-def _mlp_predictor(doc):
+def _loaded_mlp(doc):
     head = doc["head"]
     model = MlpModel(
         weights=[
@@ -286,7 +286,7 @@ def load_model(path) -> LoadedModel:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: a model file holds a JSON object")
-    build = {"linear": _linear_predictor, "mlp": _mlp_predictor}.get(doc.get("kind"))
+    build = {"linear": _loaded_linear, "mlp": _loaded_mlp}.get(doc.get("kind"))
     if build is None:
         raise DataError(f"{path}: unknown model kind {doc.get('kind')!r}")
     try:

@@ -27,19 +27,12 @@ import numpy as np
 
 from . import dataio
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, gen_complex, gen_simple
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluation import evaluate_model
-from .linear import (
-    LinearFitConfig,
-    build_design,
-    fit_linear,
-    predict_rows,
-    transform_outcomes,
-)
+from .linear import LinearFitConfig, build_design, fit_linear, transform_outcomes
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
 from .selection import (
     DEFAULT_SIGMA_GRID,
-    SIGMA_FIT_MAX_ITERS,
     SigmaGrid,
     frontier_sweep,
     kfold_cv,
@@ -356,24 +349,16 @@ def _builtin_predictor(tag, dgp, cost):
     raise ConfigError(f"unknown builtin model tag {tag!r}")
 
 
-def _linear_predictor(result, design):
-    """Raw-covariate scores of a linear fit on ``design``; it pickles."""
-    return functools.partial(predict_rows, result.theta, result.spec, design=design)
-
-
 def _training_draw(dgp, n, seed):
-    """A transformed training draw, raw and on its default linear design.
+    """A transformed training draw of raw rows, its linear fit callback and OLS.
 
-    Returns ``(td_raw, td_lin, design, ols)``, where ``ols`` predicts with the
-    least-squares fit (the uniform threshold limit) on ``td_lin``.
+    ``lin_fit`` fits the draw's default linear design; ``ols`` is its
+    least-squares fit (the uniform threshold limit), a raw-row predictor.
     """
     sample = _generate(dgp, n, seed)
-    td_raw = transform_outcomes(sample.dataset)
-    design = _default_design(sample.dataset.k)
-    td_lin = td_raw.with_design(build_design(sample.dataset.x, design))
-    spec_inf = spec_for_sigma("normal", dgp.cost, math.inf)
-    ols = _linear_predictor(fit_linear(td_lin, LinearFitConfig(spec=spec_inf)), design)
-    return td_raw, td_lin, design, ols
+    td = transform_outcomes(sample.dataset)
+    lin_fit = linear_fit_function(_default_design(sample.dataset.k))
+    return td, lin_fit, lin_fit(td, spec_for_sigma("normal", dgp.cost, math.inf))
 
 
 def run_evaluate(cfg, model_arg, out_path, replications=None):
@@ -436,15 +421,25 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
     folds = int(selection.get("folds", 5))
     seed = int(selection.get("seed", 0))
 
-    design = None
     if model_cfg["type"] == "linear":
         design = model_cfg.get("design", _default_design(dataset.k))
-        td = td.with_design(build_design(dataset.x, design))
-        fit = linear_fit_function(**_solver_options(model_cfg))
+        fit = linear_fit_function(design, **_solver_options(model_cfg))
     elif model_cfg["type"] == "mlp":
         fit = mlp_fit_function(_mlp_config(model_cfg.get("mlp")))
     else:
         raise ConfigError("model.type: cv supports linear or mlp models")
+
+    eval_sample = None  # checked before any fit, so a bad file writes nothing
+    if eval_data_path is not None:
+        eval_ds, eval_tau = dataio.load_dataset(eval_data_path)
+        if eval_tau is None:
+            raise ConfigError("--eval-data file must carry a tau_true column")
+        if eval_ds.k != dataset.k:
+            raise DataError(
+                f"{eval_data_path}: {eval_ds.k} covariate columns, "
+                f"but the training data has {dataset.k}"
+            )
+        eval_sample = LabeledSample(dataset=eval_ds, tau_true=eval_tau)
 
     cv = kfold_cv(td, grid, folds, family, fit, seed=seed, cost=cost)
     cv_path = os.path.join(out_dir, "cv_result.json")
@@ -453,15 +448,8 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
     dataio.write_frontier_csv(frontier_path, cv.frontier)
 
     out = {"cv_path": cv_path, "frontier_path": frontier_path, "cv": cv}
-    if eval_data_path is not None:
-        eval_ds, eval_tau = dataio.load_dataset(eval_data_path)
-        if eval_tau is None:
-            raise ConfigError("--eval-data file must carry a tau_true column")
-        eval_sample = LabeledSample(dataset=eval_ds, tau_true=eval_tau)
-        eval_design = build_design(eval_ds.x, design) if design else None
-        points = frontier_sweep(
-            td, grid, eval_sample, fit, family, cost=cost, eval_design=eval_design
-        )
+    if eval_sample is not None:
+        points = frontier_sweep(td, grid, eval_sample, fit, family, cost=cost)
         truth_path = os.path.join(out_dir, "truth_frontier.csv")
         dataio.write_frontier_csv(truth_path, [(p.sigma, p.mse, p.profit) for p in points])
         out["truth_frontier_path"] = truth_path
@@ -577,53 +565,27 @@ def _table2_fit_rep(args):
     """
     rep, params, dgp = args
     train_seed = params["train_seed"] + rep
-    td_raw, td_lin, design, ols = _training_draw(dgp, params["train_n"], train_seed)
+    td, lin_fit, ols = _training_draw(dgp, params["train_n"], train_seed)
     cost = dgp.cost
     models = [("ols", None, ols, True)]
-
-    # sigma-tuned linear models, both selection criteria
-    lin_fit = linear_fit_function()
-    cv_lin = kfold_cv(
-        td_lin,
-        params["linear_grid"],
-        params["linear_folds"],
-        "normal",
-        lin_fit,
-        seed=train_seed,
-        cost=cost,
-    )
-    for tag, sigma in (("linear_sigma_mse", cv_lin.sigma_mse), ("linear_sigma_profit", cv_lin.sigma_profit)):
-        spec = spec_for_sigma("normal", cost, sigma)
-        fit_cfg = LinearFitConfig(spec=spec, max_iters=SIGMA_FIT_MAX_ITERS)
-        models.append((tag, sigma, _linear_predictor(fit_linear(td_lin, fit_cfg), design), True))
-
-    # sigma-tuned surrogate networks, both criteria
+    selected = {"rep": rep}
     mlp_cfg = _mlp_config(params["mlp"], seed_default=train_seed)
-    cv_mlp = kfold_cv(
-        td_raw,
-        params["mlp_grid"],
-        params["mlp_folds"],
-        "normal",
-        mlp_fit_function(mlp_cfg),
-        seed=train_seed,
-        cost=cost,
-    )
-    trained = {}
-    for tag, sigma in (("mlp_sigma_mse", cv_mlp.sigma_mse), ("mlp_sigma_profit", cv_mlp.sigma_profit)):
-        if sigma not in trained:
-            spec = spec_for_sigma("normal", cost, sigma)
-            trained[sigma] = train_surrogate_mlp(td_raw, spec, mlp_cfg)
-        models.append((tag, sigma, functools.partial(predict_mlp, trained[sigma]), True))
+
+    # sigma-tuned linear models, then surrogate networks: CV picks a sigma
+    # under each criterion, and the same callback refits once per distinct pick
+    for name, fit in (("linear", lin_fit), ("mlp", mlp_fit_function(mlp_cfg))):
+        grid, folds = params[f"{name}_grid"], params[f"{name}_folds"]
+        cv = kfold_cv(td, grid, folds, "normal", fit, seed=train_seed, cost=cost)
+        picks = {"mse": cv.sigma_mse, "profit": cv.sigma_profit}
+        refits = {s: fit(td, spec_for_sigma("normal", cost, s)) for s in set(picks.values())}
+        for criterion, sigma in picks.items():
+            models.append((f"{name}_sigma_{criterion}", sigma, refits[sigma], True))
+        selected[name] = [dataio.json_sigma(s) for s in picks.values()]
 
     # direct policy network
     policy_cfg = DirectPolicyConfig(mlp=mlp_cfg, temperature=params["policy_temperature"])
-    policy = train_direct_policy(td_raw, cost, policy_cfg)
+    policy = train_direct_policy(td, cost, policy_cfg)
     models.append(("policy_mlp", None, functools.partial(_policy_score, policy, cost), False))
-    selected = {
-        "rep": rep,
-        "linear": [dataio.json_sigma(v) for v in (cv_lin.sigma_mse, cv_lin.sigma_profit)],
-        "mlp": [dataio.json_sigma(v) for v in (cv_mlp.sigma_mse, cv_mlp.sigma_profit)],
-    }
     return rep, models, selected
 
 
@@ -653,7 +615,10 @@ def run_table2(cfg, out_dir, jobs=1):
             runs.append((rep, tag, sigma, report.profit, report.mse, report.qini))
             per_model[tag].append(report)
 
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    # a fork pool starts all its workers at the first submit, so it gets no
+    # more of them than there are replications
+    workers = min(jobs, params["replications"])
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         if pool is not None:
             fitted_iter = pool.map(_table2_fit_rep, rep_args)

@@ -413,9 +413,13 @@ def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):
     return out
 
 
-def predict_cate(result: LinearFitResult, x_new):
-    """Money-scale CATE predictions for new design rows."""
-    return predict_rows(result.theta, result.spec, x_new)
+def predict_cate(result: LinearFitResult, x_new, design=None):
+    """Money-scale CATE predictions for new rows, as :func:`predict_rows` reads them.
+
+    ``x_new`` holds design rows, or raw covariate rows when ``design`` gives
+    the terms the fit was made on.
+    """
+    return predict_rows(result.theta, result.spec, x_new, design=design)
 
 
 def policy_from_cate(tau_hat, c):

@@ -10,13 +10,21 @@ experimental policy value of ``1{tau_hat >= cost}``.  The grid may contain
 ``frontier_sweep`` instead fits on the full training data at every grid
 value and scores against an oracle-labeled evaluation sample, tracing the
 attainable (MSE, profit) pairs of the model class.
+
+Both take a fit callback ``fit(td_train, spec) -> predict``, where
+``predict`` maps new rows of the kind ``td_train`` holds to money-scale
+scores and pickles.  ``mlp_fit_function`` and ``linear_fit_function(design)``
+take raw covariate rows; the latter builds its design inside the fit and,
+block by block, inside the predictor, so no full-size design of an
+evaluation sample is built.  Without a design the linear rows are the design.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +44,7 @@ DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, math.inf)
 # keeps drifting.
 SIGMA_FIT_MAX_ITERS = 1_500
 
-# fit callback contract: fit(td_train, spec) -> predict, where predict maps
-# design rows with td_train's columns to money-scale scores
+# fit callback contract: see the module docstring
 FitFunction = Callable[[TransformedDataset, SurrogateSpec], Callable[[np.ndarray], np.ndarray]]
 
 
@@ -165,22 +172,18 @@ def frontier_sweep(
     fit: FitFunction,
     family,
     cost: float = 1.0,
-    eval_design: Optional[np.ndarray] = None,
 ):
     """Fit on the full data at every sigma and score against the truth.
 
-    ``eval_design`` must hold the evaluation sample's covariates in the same
-    design encoding as ``td.x`` (defaults to the raw covariates).  Returns
-    one :class:`FrontierPoint` per grid value, in grid order.
+    ``td`` and ``fit`` take raw covariate rows, as the evaluation sample
+    holds them.  Returns one :class:`FrontierPoint` per grid value, in grid
+    order.
     """
-    x_eval = eval_sample.dataset.x if eval_design is None else np.asarray(eval_design, float)
-    if x_eval.shape[0] != eval_sample.dataset.n:
-        raise ValidationError("eval_design rows must match the evaluation sample")
     points = []
     for sigma in grid.values:
         spec = spec_for_sigma(family, cost, sigma)
         predictor = fit(td, spec)
-        preds = np.asarray(predictor(x_eval), dtype=float).ravel()
+        preds = np.asarray(predictor(eval_sample.dataset.x), dtype=float).ravel()
         mse = cate_mse(preds, eval_sample.tau_true)
         profit = oracle_policy_value(eval_sample, policy_from_cate(preds, cost), cost)
         points.append(FrontierPoint(sigma=sigma, mse=mse, profit=profit))
@@ -188,19 +191,25 @@ def frontier_sweep(
 
 
 def linear_fit_function(
-    max_iters: int = SIGMA_FIT_MAX_ITERS, grad_tol: float = LinearFitConfig.grad_tol
+    design=None,
+    max_iters: int = SIGMA_FIT_MAX_ITERS,
+    grad_tol: float = LinearFitConfig.grad_tol,
 ) -> FitFunction:
-    """Standard linear fit callback for CV and frontier sweeps.
+    """Linear fit callback for CV, frontier sweeps and ``table2``.
 
-    The default cap is :data:`SIGMA_FIT_MAX_ITERS`, which says why it is low.
+    With ``design`` (``build_design`` terms) the callback takes raw
+    covariate rows; without one, rows are the design already.  The default
+    cap is :data:`SIGMA_FIT_MAX_ITERS`, which says why it is low.
     """
-    from .linear import fit_linear, predict_cate
+    from .linear import build_design, fit_linear, predict_cate
 
     def fit(td_train, spec):
+        if design is not None:
+            td_train = td_train.with_design(build_design(td_train.x, design))
         res = fit_linear(
             td_train, LinearFitConfig(spec=spec, max_iters=max_iters, grad_tol=grad_tol)
         )
-        return lambda x_new: predict_cate(res, x_new)
+        return functools.partial(predict_cate, res, design=design)
 
     return fit
 
@@ -210,7 +219,6 @@ def mlp_fit_function(cfg) -> FitFunction:
     from .mlp import predict_mlp, train_surrogate_mlp
 
     def fit(td_train, spec):
-        model = train_surrogate_mlp(td_train, spec, cfg)
-        return lambda x_new: predict_mlp(model, x_new)
+        return functools.partial(predict_mlp, train_surrogate_mlp(td_train, spec, cfg))
 
     return fit

@@ -304,31 +304,29 @@ def test_criterion_7_frontier_tradeoff():
     sample = gen_simple(SimpleDgp(), 10_000, seed=550_000)
     td = transform_outcomes(sample.dataset)
     design = ["1", "x1"]
-    td = td.with_design(build_design(sample.dataset.x, design))
     eval_sample = gen_simple(SimpleDgp(), 100_000, seed=660_000)
-    eval_design = build_design(eval_sample.dataset.x, design)
     points = frontier_sweep(
         td,
         SigmaGrid(DEFAULT_SIGMA_GRID),
         eval_sample,
-        linear_fit_function(),
+        linear_fit_function(design),
         "normal",
         cost=1.0,
-        eval_design=eval_design,
     )
     by_sigma = {p.sigma: p for p in points}
     ref = by_sigma[math.inf]
     # Monte Carlo SE of each profit-vs-reference gap on the shared sample
-    theta_ls = ols_solution(td.x, td.y_star)
-    ref_policy = policy_from_cate(eval_design @ theta_ls, 1.0)
+    theta_ls = ols_solution(build_design(sample.dataset.x, design), td.y_star)
+    x_eval = eval_sample.dataset.x  # raw rows; the fit callback builds their design
+    ref_policy = policy_from_cate(build_design(x_eval, design) @ theta_ls, 1.0)
     ref_contrib = ref_policy * (eval_sample.tau_true - 1.0)
-    fit = linear_fit_function()
+    fit = linear_fit_function(design)
     winners = []
     for p in points:
         if math.isinf(p.sigma):
             continue
         predictor = fit(td, spec_for_sigma("normal", 1.0, p.sigma))
-        contrib = policy_from_cate(predictor(eval_design), 1.0) * (eval_sample.tau_true - 1.0)
+        contrib = policy_from_cate(predictor(x_eval), 1.0) * (eval_sample.tau_true - 1.0)
         gap_se = float(np.std(contrib - ref_contrib, ddof=1)) / math.sqrt(len(contrib))
         if p.profit - ref.profit > 2.0 * gap_se and p.mse > ref.mse:
             winners.append((p.sigma, p.profit - ref.profit, gap_se))

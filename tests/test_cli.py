@@ -307,6 +307,75 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
     assert (capped_out / "cv_result.json").read_bytes() != default
 
 
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("missing", 3, "cannot read dataset file"),
+        ("no_tau_true", 2, "tau_true"),
+        ("other_width", 3, "10 covariate columns, but the training data has 1"),
+    ],
+)
+def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, code, message):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--with-oracle"])
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+    if case == "missing":
+        eval_data = str(tmp_path / "absent.csv")
+    elif case == "no_tau_true":
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "plain")])
+        eval_data = str(tmp_path / "plain" / "simple_rep000_seed7.csv")
+    else:
+        wide = write_config(
+            tmp_path / "wide.json", base_config(dgp={"name": "complex", "n": 50, "seed": 3})
+        )
+        main(["simulate", "--config", wide, "--out", str(tmp_path / "wide"), "--with-oracle"])
+        eval_data = str(tmp_path / "wide" / "complex_rep000_seed3.csv")
+    capsys.readouterr()
+    out = tmp_path / "cv"
+    out.mkdir()
+    argv = ["cv", "--data", data, "--config", cfg, "--out", str(out), "--eval-data", eval_data]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and (case == "no_tau_true" or eval_data in err)
+    assert list(out.iterdir()) == []
+
+
+class RecordingPool:
+    """A serial stand-in for ProcessPoolExecutor that records its worker counts."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("jobs, replications, pools", [(8, 2, [2]), (8, 1, []), (1, 2, [])])
+def test_table2_pool_has_no_more_workers_than_replications(
+    tmp_path, monkeypatch, jobs, replications, pools
+):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cfg = {
+        "table2": {
+            "replications": replications,
+            "train_n": 300,
+            "eval_n": 2000,
+            "linear_grid": ["inf"],
+            "mlp_grid": ["inf"],
+            "mlp": {"max_epochs": 2},
+        }
+    }
+    experiments.run_table2(cfg, str(tmp_path), jobs=jobs)
+    assert RecordingPool.made == pools
+    assert len((tmp_path / "table2_runs.csv").read_text().splitlines()) == 1 + 6 * replications + 3
+
+
 def test_repeated_sigma_is_rejected_by_cv_and_table2(tmp_path, capsys):
     doc = base_config()
     doc["selection"]["grid"] = [0.5, 0.5]

@@ -1,12 +1,18 @@
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policycate import dataio
 from policycate.dgp import SimpleDgp, gen_simple
 from policycate.errors import DataError, DimensionError, ValidationError
 from policycate.linear import (
+    BLOCK_ROWS,
     Dataset,
     LinearFitConfig,
     TransformedDataset,
@@ -22,6 +28,7 @@ from policycate.mlp import (
     train_direct_policy,
     train_surrogate_mlp,
 )
+from policycate.selection import spec_for_sigma
 from policycate.surrogate import SurrogateSpec
 
 
@@ -161,6 +168,32 @@ def test_linear_model_roundtrip(tmp_path):
     got = loaded.predict(sample.dataset.x)
     want = predict_cate(res, td.x)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    terms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4, unique=True),
+    family=st.sampled_from(["normal", "logistic"]),
+    sigma=st.sampled_from([0.25, 1.0, 4.0, math.inf]),
+    n_new=st.one_of(st.integers(1, 64), st.integers(BLOCK_ROWS - 2, BLOCK_ROWS + 2)),
+)
+def test_saved_linear_fit_predicts_bitwise_like_the_fit(seed, terms, family, sigma, n_new):
+    # fit -> save_linear_fit -> load_model -> predict, on designs with power
+    # terms, scored in one block or across the block boundary
+    rng = np.random.default_rng(seed)
+    design = ["1"] + [f"x{j}" if p == 1 else f"x{j}^{p}" for j, p in terms]
+    x = rng.uniform(-2.0, 2.0, size=(80, 3))
+    y_star = 1.0 + x[:, 0] - x[:, 1] ** 2 + rng.normal(scale=2.0, size=80)
+    td = TransformedDataset(build_design(x, design), y_star)
+    spec = spec_for_sigma(family, 1.0, sigma)
+    res = fit_linear(td, LinearFitConfig(spec=spec, max_iters=30))
+    x_new = rng.uniform(-3.0, 3.0, size=(n_new, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        dataio.save_linear_fit(path, res, design=design)
+        got = dataio.load_model(path).predict(x_new)
+    assert got.tobytes() == predict_cate(res, x_new, design=design).tobytes()
 
 
 def test_mlp_model_roundtrip(tmp_path):

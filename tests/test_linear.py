@@ -32,6 +32,7 @@ from policycate.linear import (
     surrogate_objective,
     transform_outcomes,
 )
+from policycate.selection import spec_for_sigma
 from policycate.surrogate import SurrogateSpec, loss_q
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -205,6 +206,28 @@ def test_uniform_fit_equals_closed_form():
         assert np.max(np.abs(res.theta - theta_ls)) < 1e-6, trial
         # the least-squares start lands exactly on the closed form
         assert res.converged and res.iters == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    extra_rows=st.integers(1, 300),
+    x_scale=st.floats(0.1, 10.0),
+    y_scale=st.floats(0.1, 100.0),
+    cost=st.floats(-5.0, 5.0),
+)
+def test_uniform_limit_fit_is_ols(seed, k, extra_rows, x_scale, y_scale, cost):
+    # the least-squares start is the optimum: no ascent step, so no
+    # iteration cap can change the sigma = inf fit
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    x = np.column_stack([np.ones(n), x_scale * rng.normal(size=(n, k - 1))])
+    y_star = y_scale * (x @ rng.normal(size=k) / x_scale + rng.normal(size=n))
+    td = TransformedDataset(x, y_star)
+    res = fit_linear(td, LinearFitConfig(spec=spec_for_sigma("normal", cost, math.inf)))
+    assert res.iters == 0 and res.converged
+    assert res.theta.tobytes() == ols_solution(td.x, td.y_star).tobytes()
 
 
 def test_fit_objective_never_below_start():

@@ -1,10 +1,17 @@
 """The benchmark's own self-test, so a package change cannot break its calls unseen."""
 
+import importlib
+import importlib.util
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+
+from policycate import linear
+from policycate.dgp import SimpleDgp, gen_simple
+from policycate.selection import SigmaGrid, kfold_cv, linear_fit_function
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,3 +27,42 @@ def test_benchmark_smoke_run_passes():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _tracer():
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_function_the_tracer_wraps_exists():
+    # the tracer finds its targets by name, so a rename would break the
+    # benchmark; the smoke run above notices only under -m slow
+    missing = [
+        f"{mod}.{name}"
+        for mod, functions in _tracer().WRAPPED.items()
+        for name in functions
+        if not callable(getattr(importlib.import_module(f"policycate.{mod}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_linear_cv_on_design_rows_scores_through_predict_cate(monkeypatch):
+    # the traced linear-cv workload requires a linear.predict_cate span, and
+    # it runs kfold_cv on design rows with the default linear callback
+    designs = []
+    real = linear.predict_cate
+
+    def spy(*args, **kwargs):
+        designs.append(kwargs.get("design"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "predict_cate", spy)
+    sample = gen_simple(SimpleDgp(), 200, seed=5)
+    td = linear.transform_outcomes(sample.dataset)
+    td = td.with_design(linear.build_design(sample.dataset.x, ["1", "x1"]))
+    grid = SigmaGrid((1.0, math.inf))
+    kfold_cv(td, grid, 2, "normal", linear_fit_function(), seed=0, cost=1.0)
+    assert designs == [None] * 4  # one call per (sigma, fold), on the rows as given

@@ -94,18 +94,25 @@ def test_cv_requires_enough_rows(misspecified_problem):
         kfold_cv(small, SigmaGrid((1.0,)), 3, "normal", linear_fit_function(), seed=0)
 
 
+def test_linear_fit_function_rejects_an_empty_design(misspecified_problem):
+    sample, _ = misspecified_problem
+    raw = transform_outcomes(sample.dataset)
+    with pytest.raises(ValidationError, match="at least one term"):
+        linear_fit_function([])(raw, spec_for_sigma("normal", 1.0, 1.0))
+
+
 def test_frontier_covers_grid_once_and_matches_uniform_limit(misspecified_problem):
     sample, td = misspecified_problem
     eval_sample = gen_simple(SimpleDgp(), 50_000, seed=707)
-    eval_design = build_design(eval_sample.dataset.x, ["1", "x1"])
     grid = SigmaGrid((0.25, 1.0, math.inf))
+    raw = transform_outcomes(sample.dataset)
     points = frontier_sweep(
-        td, grid, eval_sample, linear_fit_function(), "normal", cost=1.0, eval_design=eval_design
+        raw, grid, eval_sample, linear_fit_function(["1", "x1"]), "normal", cost=1.0
     )
     assert [p.sigma for p in points] == list(grid.values)
     # the sigma = inf point is the least-squares fit, same code path
     theta_ls = ols_solution(td.x, td.y_star)
-    preds = eval_design @ theta_ls
+    preds = build_design(eval_sample.dataset.x, ["1", "x1"]) @ theta_ls
     from policycate.evaluation import cate_mse
 
     assert points[-1].mse == pytest.approx(cate_mse(preds, eval_sample.tau_true), abs=1e-9)
@@ -114,15 +121,13 @@ def test_frontier_covers_grid_once_and_matches_uniform_limit(misspecified_proble
 def test_frontier_tradeoff_on_misspecified_design(misspecified_problem):
     sample, td = misspecified_problem
     eval_sample = gen_simple(SimpleDgp(), 50_000, seed=909)
-    eval_design = build_design(eval_sample.dataset.x, ["1", "x1"])
     points = frontier_sweep(
-        td,
+        transform_outcomes(sample.dataset),
         SigmaGrid(DEFAULT_SIGMA_GRID),
         eval_sample,
-        linear_fit_function(),
+        linear_fit_function(["1", "x1"]),
         "normal",
         cost=1.0,
-        eval_design=eval_design,
     )
     by_sigma = {p.sigma: p for p in points}
     inf_point = by_sigma[math.inf]
