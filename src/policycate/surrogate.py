@@ -24,6 +24,18 @@ Derivatives are reported per unit of ``tau_bar``.  Dividing by ``sigma``
 per-unit-money derivatives; the covariance code in ``policycate.linear``
 relies on exactly that conversion.  The uniform family works on the money
 scale directly, so ``tau_bar`` is ``tau`` itself and no conversion applies.
+
+Row workspace
+-------------
+:func:`loss_q` and :func:`dloss_dtau` take a keyword-only ``work``, a
+:class:`RowWork` built on one ``spec`` and one ``y_star`` array.  A call with
+it computes in the workspace's buffers and returns one of them: the array
+stays valid until the workspace's next call, so reduce or copy it first.  It
+also keeps the term the loss shares with its slope for the score array it
+last saw, so a solver that takes the slope at its last evaluated point pays
+for that term once.  Without ``work`` each call builds a fresh workspace on
+its broadcast inputs and runs the same code, so both forms return the same
+bits, and a scalar call still returns a float.
 """
 
 from __future__ import annotations
@@ -120,13 +132,26 @@ class ScalarSurrogateProblem:
             raise ValidationError("tau0 must be finite")
 
 
-def _phi(z):
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
+def _phi(z, out=None):
+    out = np.square(z, out=_buffer(z, out))
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return out
 
 
-def _Phi(z):
-    # complementary error function avoids cancellation in the lower tail
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
+def _Phi(z, out=None):
+    # complementary error function avoids cancellation in the lower tail;
+    # z / -sqrt(2) rounds exactly as -z / sqrt(2) and takes one pass
+    out = np.divide(z, -_SQRT2, out=_buffer(z, out))
+    erfc(out, out=out)
+    out *= 0.5
+    return out
+
+
+def _buffer(z, out):
+    """``out``, or a fresh float array shaped like ``z`` (0-d for a scalar)."""
+    return np.empty(np.shape(z)) if out is None else out
 
 
 def _as_float(out):
@@ -206,44 +231,115 @@ def kappa(spec: SurrogateSpec, tau):
     return _as_float(out)
 
 
-def loss_q(spec: SurrogateSpec, tau_bar, y_star):
+class RowWork:
+    """Row buffers that :func:`loss_q` and :func:`dloss_dtau` reuse over one ``y*``.
+
+    A workspace is bound to one ``spec`` and one ``y_star`` array: pass those
+    same objects with ``work=`` (anything else raises ``ValidationError``),
+    and scores of ``y_star``'s shape.  It holds ``y* - cost`` and the term
+    the loss shares with its slope: ``phi(t)`` for the normal family,
+    ``G(t)`` and ``G(-t)`` for the logistic family, ``y* - t`` for the
+    uniform family.  The shared term belongs to the score array that last
+    went through either function; a call on that same object reuses it, a
+    call on any other array recomputes it.  So do not write into a score
+    array between the calls that share it.
+    """
+
+    def __init__(self, spec: SurrogateSpec, y_star):
+        self.spec = spec
+        self.y_star = np.asarray(y_star, dtype=float)
+        uniform = spec.family is Family.UNIFORM
+        self._resid0 = self.y_star if uniform else self.y_star - spec.cost
+        shape = self.y_star.shape
+        self._out = np.empty(shape)
+        self._tmp = np.empty(shape)
+        n_shared = 2 if spec.family is Family.LOGISTIC else 1
+        self._shared = [np.empty(shape) for _ in range(n_shared)]
+        self._scores = None  # the array self._shared was computed from
+
+    def _share(self, t):
+        if t is self._scores:
+            return
+        if self.spec.family is Family.NORMAL:
+            _phi(t, out=self._shared[0])
+        elif self.spec.family is Family.LOGISTIC:
+            g_pos, g_neg = self._shared
+            expit(t, out=g_pos)
+            expit(np.negative(t, out=g_neg), out=g_neg)
+        else:
+            np.subtract(self._resid0, t, out=self._shared[0])
+        self._scores = t
+
+
+def _bind(spec, tau_bar, y_star, work):
+    """The workspace a call runs on, and its scores as a float array.
+
+    Without ``work`` the inputs are broadcast against each other and a fresh
+    workspace is built on them, so an allocating call runs the same code.
+    """
+    tau_bar = np.asarray(tau_bar, dtype=float)
+    if work is None:
+        tau_bar, y_star = np.broadcast_arrays(tau_bar, np.asarray(y_star, dtype=float))
+        return RowWork(spec, y_star), tau_bar
+    if work.spec is not spec or work.y_star is not y_star:
+        raise ValidationError("workspace was built for another spec or y_star")
+    return work, tau_bar
+
+
+def loss_q(spec: SurrogateSpec, tau_bar, y_star, *, work: RowWork | None = None):
     """Per-observation objective term (to be maximized).
 
     ``tau_bar`` is the standardized score for normal/logistic, the raw money
-    score for uniform.  Broadcasts over array inputs.
+    score for uniform.  Broadcasts over array inputs.  With ``work`` (see
+    :class:`RowWork`) the terms are written into, and returned as, the
+    workspace's output buffer, valid until its next call.
 
     Normal:   Phi(t) * (y* - cost) + sigma * phi(t)
     Logistic: G(t) * (y* - cost) + sigma * (t * (1 - G(t)) - ln G(t))
     Uniform:  -(y* - tau)^2   (constant offsets dropped; same argmax)
     """
-    tau_bar = np.asarray(tau_bar, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
+    w, t = _bind(spec, tau_bar, y_star, work)
+    w._share(t)
+    out, tmp = w._out, w._tmp
     if spec.family is Family.NORMAL:
-        out = _Phi(tau_bar) * (y_star - spec.cost) + spec.scale * _phi(tau_bar)
+        _Phi(t, out=out)
+        out *= w._resid0
+        np.multiply(w._shared[0], spec.scale, out=tmp)
+        out += tmp
     elif spec.family is Family.LOGISTIC:
         # 1 - G(t) = G(-t) and ln G(t) = -softplus(-t), both overflow-safe
-        tail = tau_bar * expit(-tau_bar) - log_expit(tau_bar)
-        out = expit(tau_bar) * (y_star - spec.cost) + spec.scale * tail
+        g_pos, g_neg = w._shared
+        np.multiply(t, g_neg, out=out)
+        out -= log_expit(t, out=tmp)
+        out *= spec.scale
+        out += np.multiply(g_pos, w._resid0, out=tmp)
     else:
-        out = -np.square(y_star - tau_bar)
+        np.square(w._shared[0], out=out)
+        np.negative(out, out=out)
     return _as_float(out)
 
 
-def dloss_dtau(spec: SurrogateSpec, tau_bar, y_star):
+def dloss_dtau(spec: SurrogateSpec, tau_bar, y_star, *, work: RowWork | None = None):
     """First derivative of :func:`loss_q` in its ``tau_bar`` argument.
 
     Reported per unit of the standardized score; divide by ``sigma`` for the
     per-unit-money gradient used in covariance estimation (see module note).
+    ``work`` is as for :func:`loss_q`; called on the array the last
+    ``loss_q`` saw, it reuses that call's shared term.
     """
-    tau_bar = np.asarray(tau_bar, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
+    w, t = _bind(spec, tau_bar, y_star, work)
+    w._share(t)
+    out = w._out
+    if spec.family is Family.UNIFORM:
+        np.multiply(w._shared[0], 2.0, out=out)
+        return _as_float(out)
+    # (y* - cost) - sigma * t, times the density: phi(t), or G(t) * G(-t)
+    np.multiply(t, spec.scale, out=out)
+    np.subtract(w._resid0, out, out=out)
     if spec.family is Family.NORMAL:
-        out = _phi(tau_bar) * (y_star - spec.cost - spec.scale * tau_bar)
-    elif spec.family is Family.LOGISTIC:
-        g = expit(tau_bar) * expit(-tau_bar)
-        out = g * (y_star - spec.cost - spec.scale * tau_bar)
+        out *= w._shared[0]
     else:
-        out = 2.0 * (y_star - tau_bar)
+        out *= np.multiply(*w._shared, out=w._tmp)
     return _as_float(out)
 
 

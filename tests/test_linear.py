@@ -33,7 +33,7 @@ from policycate.linear import (
     transform_outcomes,
 )
 from policycate.selection import spec_for_sigma
-from policycate.surrogate import SurrogateSpec, loss_q
+from policycate.surrogate import SurrogateSpec, dloss_dtau, loss_q
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -281,21 +281,37 @@ def test_fit_evaluates_each_accepted_point_once(seed, n, sigma, max_iters):
     td = complex_td(n, seed)
     spec = SurrogateSpec.normal(1.0, sigma)
     scores_seen = []
+    slope_calls = []
 
-    def recording_loss_q(spec_, scores, y_star):
+    def recording_loss_q(spec_, scores, y_star, *, work=None):
         scores_seen.append(np.array(scores))
-        return loss_q(spec_, scores, y_star)
+        return loss_q(spec_, scores, y_star, work=work)
 
-    with mock.patch.object(surrogate, "loss_q", recording_loss_q):
+    def recording_dloss_dtau(spec_, scores, y_star, *, work=None):
+        slope_calls.append(scores)
+        return dloss_dtau(spec_, scores, y_star, work=work)
+
+    with mock.patch.object(surrogate, "loss_q", recording_loss_q), mock.patch.object(
+        surrogate, "dloss_dtau", recording_dloss_dtau
+    ):
         res = fit_linear(td, LinearFitConfig(spec=spec, max_iters=max_iters))
     # the accepted Armijo trial is reused, never evaluated a second time
     for before, after in zip(scores_seen, scores_seen[1:]):
         assert not np.array_equal(before, after)
     assert res.objective == surrogate_objective(res.theta, td, spec)
+    # one slope pass at the start and one per accepted point, plus the
+    # sandwich covariance's pass on a converged fit; a fit that stops on a
+    # failed line search has no pass for its last iteration
+    if res.converged:
+        assert len(slope_calls) == res.iters + 2
+    elif res.iters == max_iters:
+        assert len(slope_calls) == res.iters + 1
+    else:
+        assert res.iters <= len(slope_calls) <= res.iters + 1
 
 
-# two fits of one complex draw, recorded with the solver that evaluated each
-# accepted point twice; reusing that evaluation must not move any iterate
+# three fits of one complex draw, recorded before the surrogate kernel reused
+# row buffers and shared terms; the kernel must not move a single bit
 PINNED_CAPPED_THETA = [
     23.159219189149866, -5.617192019142309, -5.370754815415112, -4.714556746692045,
     -4.968599013182866, -4.9644298935545335, -4.4468861237005575, -4.452810680821741,
@@ -306,22 +322,41 @@ PINNED_CONVERGED_THETA = [
     -1.0591656616186165, -0.9079475213718832, -0.8272397789916035, -0.918360809673169,
     -0.9360830183602904, -1.0464265070209162, -0.8533664542646271,
 ]
+PINNED_LOGISTIC_CAPPED_THETA = [
+    22.621498122203143, -5.312300754246604, -5.117369934366658, -4.691135870941576,
+    -4.889848123036402, -4.724910475272029, -4.436512212335635, -4.5918011773098435,
+    -4.9430160034476796, -4.801419242171082, -4.055101938084181,
+]
 
 
 @pytest.mark.parametrize(
-    "sigma, max_iters, iters, converged, theta",
+    "family, sigma, max_iters, iters, converged, objective, gradient_norm, theta",
     [
-        (0.05, 200, 200, False, PINNED_CAPPED_THETA),
-        (1.0, 10_000, 1624, True, PINNED_CONVERGED_THETA),
+        pytest.param(
+            "normal", 0.05, 200, 200, False, 0.4528836718634861, 0.001012621385182777,
+            PINNED_CAPPED_THETA, id="normal-capped",
+        ),
+        pytest.param(
+            "normal", 1.0, 10_000, 1624, True, 0.5044748067667367, 9.105632090555815e-09,
+            PINNED_CONVERGED_THETA, id="normal-converged",
+        ),
+        pytest.param(
+            "logistic", 0.1, 200, 200, False, 0.44650498639878244, 0.001964144403630429,
+            PINNED_LOGISTIC_CAPPED_THETA, id="logistic-capped",
+        ),
     ],
 )
-def test_fit_matches_pinned_iterates(sigma, max_iters, iters, converged, theta):
+def test_fit_matches_pinned_iterates(
+    family, sigma, max_iters, iters, converged, objective, gradient_norm, theta
+):
     td = complex_td(400, seed=3)
-    cfg = LinearFitConfig(spec=SurrogateSpec.normal(1.0, sigma), max_iters=max_iters)
-    res = fit_linear(td, cfg)
+    spec = getattr(SurrogateSpec, family)(1.0, sigma)
+    res = fit_linear(td, LinearFitConfig(spec=spec, max_iters=max_iters))
     assert res.iters == iters
     assert res.converged is converged
-    np.testing.assert_allclose(res.theta, theta, rtol=1e-12)
+    assert res.objective == objective
+    assert res.final_gradient_norm == gradient_norm
+    np.testing.assert_array_equal(res.theta, theta)
 
 
 # ------------------------------------------------------------------- sandwich

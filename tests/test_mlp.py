@@ -296,6 +296,22 @@ def test_exploding_learning_rate_raises_non_finite():
         train_surrogate_mlp(td, spec, cfg)
 
 
+def test_diverging_weight_decay_raises_non_finite():
+    # lr * 2 * weight_decay = 10 makes every step overshoot, so the weights
+    # grow without bound while the bounded normal head loss stays finite.
+    # Only the penalty's sum of squares overflows inside 50 epochs; the
+    # per-step parameter check alone lets this run return a model.
+    rng = np.random.default_rng(11)
+    td = small_problem(rng, n=200, noise=3.0)
+    spec = SurrogateSpec.normal(1.0, 0.5)
+    cfg = MlpConfig(
+        hidden_sizes=(16,), activation="tanh", learning_rate=1.0, weight_decay=5.0,
+        max_epochs=50, batch_size=20, seed=1,
+    )
+    with pytest.raises(NonFiniteLossError, match="batch loss"):
+        train_surrogate_mlp(td, spec, cfg)
+
+
 # ------------------------------------------------------------ blocked inference
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc, expit, log_expit
 
 from policycate import (
     DomainError,
@@ -23,6 +24,7 @@ from policycate import (
     scalar_argmax,
     scalar_surrogate_value,
 )
+from policycate.surrogate import RowWork
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -244,6 +246,90 @@ def test_dloss_matches_central_differences_of_loss(spec, tau_bar, y_star):
     d = dloss_dtau(spec, tau_bar, y_star)
     # rounding in the difference grows with |loss|, truncation with h^2
     assert abs(d - (up - down) / (2 * h)) <= 1e-6 * (1 + abs(d)) + 1e-14 * abs(up) / h
+
+
+# ------------------------------------------------------------ row workspace
+
+
+def reference_loss_q(spec, tau_bar, y_star):
+    """``loss_q`` as one allocating expression per family, as it was written
+    before the row workspace; the workspace must reproduce it bit for bit."""
+    t, ys = np.asarray(tau_bar, dtype=float), np.asarray(y_star, dtype=float)
+    if spec.family is Family.NORMAL:
+        phi = PHI0 * np.exp(-0.5 * np.square(t))
+        return 0.5 * erfc(-t / math.sqrt(2.0)) * (ys - spec.cost) + spec.scale * phi
+    if spec.family is Family.LOGISTIC:
+        tail = t * expit(-t) - log_expit(t)
+        return expit(t) * (ys - spec.cost) + spec.scale * tail
+    return -np.square(ys - t)
+
+
+def reference_dloss_dtau(spec, tau_bar, y_star):
+    """``dloss_dtau`` as written before the row workspace."""
+    t, ys = np.asarray(tau_bar, dtype=float), np.asarray(y_star, dtype=float)
+    if spec.family is Family.NORMAL:
+        return PHI0 * np.exp(-0.5 * np.square(t)) * (ys - spec.cost - spec.scale * t)
+    if spec.family is Family.LOGISTIC:
+        return expit(t) * expit(-t) * (ys - spec.cost - spec.scale * t)
+    return 2.0 * (ys - t)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _rows(n):
+    return st.lists(st.floats(-60.0, 60.0), min_size=n, max_size=n).map(np.array)
+
+
+# y* and two to five trial score arrays of one length
+ROW_DRAWS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(_rows(n), st.lists(_rows(n), min_size=2, max_size=5))
+)
+
+
+@PROPERTY_SETTINGS
+@given(SPECS, ROW_DRAWS)
+def test_workspace_calls_match_allocating_calls_bitwise(spec, draw):
+    y_star, trials = draw
+    work = RowWork(spec, y_star)
+    for k, t in enumerate(trials):
+        q = loss_q(spec, t, y_star, work=work)
+        assert same_bits(q, reference_loss_q(spec, t, y_star))
+        assert same_bits(q, loss_q(spec, t, y_star))
+        # the slope of the array the last loss saw reuses that loss's shared term
+        d = dloss_dtau(spec, t, y_star, work=work)
+        assert same_bits(d, reference_dloss_dtau(spec, t, y_star))
+        if k:
+            # any other array recomputes it: no stale reuse, in either direction
+            prev = trials[k - 1]
+            assert same_bits(
+                dloss_dtau(spec, prev, y_star, work=work), reference_dloss_dtau(spec, prev, y_star)
+            )
+            assert same_bits(dloss_dtau(spec, t, y_star, work=work), dloss_dtau(spec, t, y_star))
+            q = loss_q(spec, prev, y_star, work=work)
+            assert same_bits(q, reference_loss_q(spec, prev, y_star))
+
+
+@PROPERTY_SETTINGS
+@given(SPECS, st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _rows(7))
+def test_allocating_calls_keep_scalars_and_broadcasting(spec, tau_bar, y_star, row):
+    for fn, ref in ((loss_q, reference_loss_q), (dloss_dtau, reference_dloss_dtau)):
+        got = fn(spec, tau_bar, y_star)
+        assert type(got) is float and same_bits(got, ref(spec, tau_bar, y_star))
+        for t, ys in ((row, y_star), (tau_bar, row), (row[:, None], row), ([tau_bar], row)):
+            assert same_bits(fn(spec, t, ys), ref(spec, t, ys))
+
+
+def test_workspace_is_bound_to_its_spec_and_y_star():
+    spec, y_star = SurrogateSpec.normal(1.0, 0.5), np.array([0.5, 2.0, -1.0])
+    work = RowWork(spec, y_star)
+    t = np.array([0.1, -0.3, 2.0])
+    with pytest.raises(ValidationError):
+        loss_q(spec, t, y_star.copy(), work=work)
+    with pytest.raises(ValidationError):
+        dloss_dtau(SurrogateSpec.normal(1.0, 0.5), t, y_star, work=work)
 
 
 # ------------------------------------------------------------- scalar obj
