@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DimensionError, ValidationError
-from .linear import BLOCK_ROWS, Dataset, LinearFitResult, predict_rows
+from .linear import Dataset, LinearFitResult, predict_rows, row_blocks
 from .mlp import MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
 
@@ -74,8 +74,8 @@ def write_json(path, doc):
 def save_dataset(path, dataset: Dataset, tau_true=None):
     """Write the experiment CSV: header y,w,e,x1..xk plus optional tau_true.
 
-    Rows become Python floats one block of ``BLOCK_ROWS`` at a time, so the
-    temporaries grow with the block, not with the row count.
+    Rows become Python floats one ``linear.row_blocks`` block at a time, so
+    the temporaries grow with the block, not with the row count.
     """
     header = ["y", "w", "e"] + [f"x{j}" for j in range(1, dataset.k + 1)]
     cols = [dataset.y[:, None], dataset.w[:, None], dataset.e[:, None], dataset.x]
@@ -89,8 +89,8 @@ def save_dataset(path, dataset: Dataset, tau_true=None):
         cols.append(tau_true[:, None])
 
     def rows():
-        for start in range(0, dataset.n, BLOCK_ROWS):
-            yield from np.hstack([c[start : start + BLOCK_ROWS] for c in cols]).tolist()
+        for start, stop in row_blocks(dataset.n):
+            yield from np.hstack([c[start:stop] for c in cols]).tolist()
 
     write_csv(path, header, rows())
 

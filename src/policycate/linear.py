@@ -27,9 +27,9 @@ write to it any more, and copies it otherwise, so a caller hands an array
 over by sealing it (``a.setflags(write=False)``) and keeps a private copy
 of anything it leaves writable.
 
-Scoring walks its rows in blocks of ``BLOCK_ROWS``: ``predict_rows`` here,
-the network forward pass in ``policycate.mlp`` and the dataset writer in
-``policycate.dataio`` share that one constant.
+Scoring walks its rows in the blocks of ``row_blocks``, which
+``predict_rows`` here, the network scoring in ``policycate.mlp`` and the
+dataset writer in ``policycate.dataio`` share.
 """
 
 from __future__ import annotations
@@ -402,30 +402,38 @@ def sandwich_covariance(theta_hat, td: TransformedDataset, spec: sg.SurrogateSpe
     )
 
 
+def row_blocks(n):
+    """``(start, stop)`` blocks of ``BLOCK_ROWS`` rows that cover ``range(n)``.
+
+    A lone last row joins the block before it: numpy takes a one-row
+    product through ``dot``, which may round differently.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+        yield start, stop
+        start = stop
+
+
 def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):
     """Money-scale scores ``spec.unstandardize(xd @ theta)``, one block at a time.
 
     ``xd`` is ``build_design(x, design)`` for raw rows ``x``, or ``x`` itself
     when ``design`` is None.  The width is checked once, before any block;
-    then each block of ``BLOCK_ROWS`` rows is built, multiplied and written
+    then each block of :func:`row_blocks` is built, multiplied and written
     into the one output array, so temporaries grow with the block, not with
     the row count.  The result equals a one-thread whole-array product
-    bitwise.  A lone last row joins the block before it: numpy takes a
-    one-row product through ``dot``, which may round differently.
+    bitwise.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     width = build_design(x[:0], design).shape[1] if design else x.shape[1]
     if width != theta.shape[0]:
         raise DimensionError(f"x has {width} features, model expects {theta.shape[0]}")
-    n = x.shape[0]
-    out = np.empty(n)
-    start = 0
-    while start < n:
-        stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+    out = np.empty(x.shape[0])
+    for start, stop in row_blocks(x.shape[0]):
         xd = build_design(x[start:stop], design) if design else x[start:stop]
         out[start:stop] = spec.unstandardize(xd @ theta)
-        start = stop
     return out
 
 

@@ -27,16 +27,15 @@ only ``policycate fit`` writes the log, so ``fit`` asks for it and ``cv``
 and ``table2`` do not.  The flag draws no random numbers, so it changes no
 weight, no best epoch and no validation objective.
 
-Inference (``predict_mlp`` and the per-epoch objectives) runs one forward
-kernel, ``_scores``, over blocks of ``BLOCK_ROWS`` raw rows.  That block size
-is imported from ``policycate.linear``, its one home, which the linear
-scoring path and the dataset writer share.  Each call allocates one input
-buffer and one buffer per hidden layer, sized to a block, and standardizes,
-multiplies, adds biases and applies activations in place, so its
-temporaries grow with the block, not with the row count.  A call on at
-most ``BLOCK_ROWS`` rows makes the same BLAS calls as a
-whole-array forward pass and matches it bitwise; on more rows a short last
-block may take another BLAS kernel and differ from it in the last bit.
+One forward kernel, ``_forward``, serves SGD steps, per-epoch objectives
+and ``predict_mlp``.  It writes each hidden layer into a buffer the caller
+hands it: fresh batch-sized arrays for a step, views of block-sized buffers
+for scoring, which walks raw rows in ``linear.row_blocks`` blocks so its
+temporaries grow with the block, not with the row count.  Backpropagation
+reads each layer's input, its activation ``h`` before inverted dropout
+(Srivastava et al., JMLR 2014) and its mask.  A scoring call on at most
+``BLOCK_ROWS + 1`` rows is one block and matches a whole-array pass bitwise;
+on more rows a short last block may take another BLAS kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from scipy.special import expit
 from . import rng
 from . import surrogate as sg
 from .errors import DimensionError, NonFiniteLossError, ValidationError
-from .linear import BLOCK_ROWS, TransformedDataset
+from .linear import BLOCK_ROWS, TransformedDataset, row_blocks
 
 _MOMENTUM = 0.9
 
@@ -147,61 +146,45 @@ def _act(z, activation, out=None):
     return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
-def _act_grad(z, a, activation):
-    return (z > 0.0).astype(float) if activation == "relu" else 1.0 - np.square(a)
+def _act_grad(h, activation):
+    # relu's h > 0 equals z > 0 for every pre-activation z, NaN included
+    return (h > 0.0).astype(float) if activation == "relu" else 1.0 - np.square(h)
 
 
-def _forward_train(weights, biases, xb, activation, dropout_rate, rng):
-    """Forward pass keeping caches; inverted dropout on hidden activations."""
-    a = xb
-    caches = []
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = a @ w + b
-        h = _act(z, activation)
+def _forward(weights, biases, activation, a, hidden, dropout_rate=0.0, rng=None):
+    """Scores of standardized rows ``a``, hidden layer ``i`` computed in place in ``hidden[i]``.
+
+    Returns the scores, the rows the output layer read, and per hidden layer
+    its input rows, its activation ``h`` and its inverted-dropout mask (or
+    None); the next layer reads ``h * mask``.
+    """
+    layers = []
+    for w, b, h in zip(weights[:-1], biases[:-1], hidden):
+        np.matmul(a, w, out=h)
+        h += b
+        _act(h, activation, out=h)
+        mask = None
         if dropout_rate > 0.0:
             mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            h = h * mask
-        else:
-            mask = None
-        caches.append((a, z, h, mask))
-        a = h
-    scores = (a @ weights[-1] + biases[-1])[:, 0]
-    return scores, a, caches
+        layers.append((a, h, mask))
+        a = h if mask is None else h * mask
+    return (a @ weights[-1] + biases[-1])[:, 0], a, layers
 
 
 def _scores(weights, biases, activation, x_mean, x_sd, x):
-    """Inference forward pass on raw rows, block by block and in place.
-
-    No dropout, no caches.  The buffers belong to this call, so the returned
-    array aliases nothing that a later call writes.
-    """
+    """Scores of raw rows, one block at a time in buffers that belong to this call."""
     n = x.shape[0]
-    rows = min(n, BLOCK_ROWS)
+    rows = min(n, BLOCK_ROWS + 1)
     a_buf = np.empty((rows, x.shape[1]))
     h_bufs = [np.empty((rows, w.shape[1])) for w in weights[:-1]]
     out = np.empty(n)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
+    for start, stop in row_blocks(n):
         a = a_buf[: stop - start]
         np.subtract(x[start:stop], x_mean, out=a)
         np.divide(a, x_sd, out=a)
-        for w, b, h_buf in zip(weights[:-1], biases[:-1], h_bufs):
-            h = h_buf[: stop - start]
-            np.matmul(a, w, out=h)
-            h += b
-            a = _act(h, activation, out=h)
-        out[start:stop] = (a @ weights[-1] + biases[-1])[:, 0]
+        hidden = [h[: stop - start] for h in h_bufs]
+        out[start:stop] = _forward(weights, biases, activation, a, hidden)[0]
     return out
-
-
-def _forward_scores(model: MlpModel, x):
-    """Inference on raw rows; a row width other than the model's is an error."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.x_mean.shape[0]:
-        raise DimensionError(
-            f"x has {x.shape[1]} features, model expects {model.x_mean.shape[0]}"
-        )
-    return _scores(model.weights, model.biases, model.activation, model.x_mean, model.x_sd, x)
 
 
 def _global_norm(grads_w, grads_b):
@@ -222,7 +205,8 @@ def _batch_gradients(
     gradients come from standard backpropagation with the analytic head
     derivative as the final-layer upstream term.
     """
-    scores, a_last, caches = _forward_train(weights, biases, xb, activation, dropout_rate, rng)
+    hidden = [np.empty((xb.shape[0], w.shape[1])) for w in weights[:-1]]
+    scores, a, layers = _forward(weights, biases, activation, xb, hidden, dropout_rate, rng)
     batch_loss = float(np.mean(head_loss(scores, yb)))
     if wd > 0.0:
         batch_loss += wd * sum(float(np.sum(np.square(w))) for w in weights)
@@ -230,18 +214,16 @@ def _batch_gradients(
     g = (head_dloss(scores, yb) / xb.shape[0])[:, None]
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
-    grads_w[-1] = a_last.T @ g
+    grads_w[-1] = a.T @ g
     grads_b[-1] = g.sum(axis=0)
-    g = g @ weights[-1].T
-    for layer in range(len(caches) - 1, -1, -1):
-        a_prev, z, h, mask = caches[layer]
+    for layer in range(len(layers) - 1, -1, -1):
+        a_in, h, mask = layers[layer]
+        g = g @ weights[layer + 1].T
         if mask is not None:
             g = g * mask
-        g = g * _act_grad(z, h, activation)
-        grads_w[layer] = a_prev.T @ g
+        g = g * _act_grad(h, activation)
+        grads_w[layer] = a_in.T @ g
         grads_b[layer] = g.sum(axis=0)
-        if layer > 0:
-            g = g @ weights[layer].T
     if wd > 0.0:
         for layer, w in enumerate(weights):
             grads_w[layer] = grads_w[layer] + 2.0 * wd * w
@@ -402,7 +384,12 @@ def predict_mlp(model: MlpModel, x_new):
     return the raw score, which ranks and thresholds (treat iff score >= 0)
     but is not a CATE (``model.is_cate`` is False).
     """
-    scores = _forward_scores(model, x_new)
+    x = np.atleast_2d(np.asarray(x_new, dtype=float))
+    if x.shape[1] != model.x_mean.shape[0]:
+        raise DimensionError(
+            f"x has {x.shape[1]} features, model expects {model.x_mean.shape[0]}"
+        )
+    scores = _scores(model.weights, model.biases, model.activation, model.x_mean, model.x_sd, x)
     if model.head == "policy":
         return scores
     return np.asarray(model.spec.unstandardize(scores))

@@ -66,7 +66,7 @@ def test_save_dataset_rejects_tau_true_of_another_length(tmp_path):
     assert not p.exists()
 
 
-@pytest.mark.parametrize("n", [1, dataio.BLOCK_ROWS, dataio.BLOCK_ROWS + 2])
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2])
 def test_blocked_dataset_rows_equal_the_whole_table(tmp_path, n):
     sample = gen_simple(SimpleDgp(), n, seed=6)
     ds = sample.dataset

@@ -37,10 +37,12 @@ def make_heads(kind, spec=None, c=1.0, temp=0.1):
     )
 
 
-def fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, h=1e-5):
+def fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, dropout_rate, h=1e-5):
     def loss_at():
+        # a fresh generator per call: every loss sees the analytic pass's masks
         loss, _, _ = _batch_gradients(
-            weights, biases, xb, yb, activation, 0.0, None, head_loss, lambda s, y: s, wd
+            weights, biases, xb, yb, activation, dropout_rate, np.random.default_rng(DROPOUT_SEED),
+            head_loss, lambda s, y: s, wd,
         )
         return loss
 
@@ -60,6 +62,17 @@ def fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, h=1e-5):
     return fd_w, fd_b
 
 
+def backprop_errors(weights, biases, xb, yb, activation, head_loss, head_dloss, wd, dropout_rate):
+    """Max relative error of each analytic gradient against central differences."""
+    _, gw, gb = _batch_gradients(
+        weights, biases, xb, yb, activation, dropout_rate, np.random.default_rng(DROPOUT_SEED),
+        head_loss, head_dloss, wd,
+    )
+    fw, fb = fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, dropout_rate)
+    return [np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) for a, b in zip(gw + gb, fw + fb)]
+
+
+DROPOUT_SEED = 5
 HEAD_CASES = [
     ("normal", SurrogateSpec.normal(1.0, 1.0)),
     ("logistic", SurrogateSpec.logistic(0.5, 0.7)),
@@ -71,18 +84,18 @@ HEAD_CASES = [
 @pytest.mark.parametrize("kind,spec", HEAD_CASES)
 @pytest.mark.parametrize("wd", [0.0, 0.02])
 def test_backprop_matches_finite_differences(kind, spec, wd):
+    # two tanh hidden layers, with and without dropout: the slope of a
+    # dropped-out layer is 1 - h**2 of its activation before the mask
     rng = np.random.default_rng(0)
-    xb = rng.normal(size=(5, 2))
+    xb = rng.normal(size=(5, 3))
     yb = rng.normal(scale=2.0, size=5)
-    weights, biases = _init_params([2, 3, 1], "tanh", rng)
+    weights, biases = _init_params([3, 6, 5, 1], "tanh", rng)
     head_loss, head_dloss = make_heads(kind, spec)
-    _, gw, gb = _batch_gradients(
-        weights, biases, xb, yb, "tanh", 0.0, None, head_loss, head_dloss, wd
-    )
-    fw, fb = fd_param_grads(weights, biases, xb, yb, "tanh", head_loss, wd)
-    for a, b in zip(gw + gb, fw + fb):
-        denom = 1.0 + np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) / denom < 1e-4
+    for dropout_rate in (0.0, 0.3):
+        errors = backprop_errors(
+            weights, biases, xb, yb, "tanh", head_loss, head_dloss, wd, dropout_rate
+        )
+        assert max(errors) < 1e-4, (dropout_rate, errors)
 
 
 def test_backprop_relu_away_from_kinks():
@@ -91,12 +104,11 @@ def test_backprop_relu_away_from_kinks():
     yb = rng.normal(size=5)
     weights, biases = _init_params([2, 3, 1], "relu", rng)
     head_loss, head_dloss = make_heads("normal", SurrogateSpec.normal(1.0, 1.0))
-    _, gw, gb = _batch_gradients(
-        weights, biases, xb, yb, "relu", 0.0, None, head_loss, head_dloss, 0.0
-    )
-    fw, fb = fd_param_grads(weights, biases, xb, yb, "relu", head_loss, 0.0)
-    for a, b in zip(gw + gb, fw + fb):
-        assert np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) < 1e-4
+    for dropout_rate in (0.0, 0.3):
+        errors = backprop_errors(
+            weights, biases, xb, yb, "relu", head_loss, head_dloss, 0.0, dropout_rate
+        )
+        assert max(errors) < 1e-4, (dropout_rate, errors)
 
 
 def small_problem(rng, n=400, k=3, noise=0.5):
@@ -352,7 +364,7 @@ def test_blocked_predict_matches_whole_array_pass(activation, hidden, n):
     x = np.random.default_rng(n).normal(size=(n, 4))
     got = predict_mlp(model, x)
     want = whole_array_predict(model, x)
-    if n <= B:  # one block: the same BLAS calls
+    if n <= B + 1:  # one block (a lone last row joins it): the same BLAS calls
         assert got.tobytes() == want.tobytes()
     else:  # a short last block may take another BLAS kernel
         np.testing.assert_allclose(got, want, rtol=1e-12)
