@@ -75,7 +75,8 @@ def save_dataset(path, dataset: Dataset, tau_true=None):
     """Write the experiment CSV: header y,w,e,x1..xk plus optional tau_true.
 
     Rows become Python floats one ``linear.row_blocks`` block at a time, so
-    the temporaries grow with the block, not with the row count.
+    the temporaries grow with the block, not with the row count, and each
+    row is formatted by one ``%`` template of ``fmt``'s ``%.12g`` fields.
     """
     header = ["y", "w", "e"] + [f"x{j}" for j in range(1, dataset.k + 1)]
     cols = [dataset.y[:, None], dataset.w[:, None], dataset.e[:, None], dataset.x]
@@ -88,11 +89,12 @@ def save_dataset(path, dataset: Dataset, tau_true=None):
         header.append("tau_true")
         cols.append(tau_true[:, None])
 
-    def rows():
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    with _replacing(path) as f:
+        f.write(",".join(header) + "\n")
         for start, stop in row_blocks(dataset.n):
-            yield from np.hstack([c[start:stop] for c in cols]).tolist()
-
-    write_csv(path, header, rows())
+            block = np.hstack([c[start:stop] for c in cols]).tolist()
+            f.writelines(line % tuple(row) for row in block)
 
 
 def load_dataset(path):

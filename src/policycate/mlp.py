@@ -11,10 +11,9 @@ thresholds units but is not a CATE.
 Training is plain mini-batch SGD with momentum 0.9, optional weight decay,
 inverted dropout on hidden activations, optional global-norm gradient
 clipping, and early stopping on the validation objective (the returned
-model is the best-validation snapshot).  Momentum buffers and weights are
-updated in place.  Inputs are standardized per feature with statistics of
-the training split, which stands in for batch normalization and keeps
-training deterministic.  All randomness comes from
+model is the best-validation snapshot).  Inputs are standardized per
+feature with statistics of the training split, which stands in for batch
+normalization and keeps training deterministic.  All randomness comes from
 ``policycate.rng.streams(config seed, 4)``, one stream per purpose: the
 train/validation split at index 0, initialization at 1, shuffling at 2 and
 dropout at 3.  Identical inputs produce bitwise-identical training logs.
@@ -36,6 +35,19 @@ reads each layer's input, its activation ``h`` before inverted dropout
 (Srivastava et al., JMLR 2014) and its mask.  A scoring call on at most
 ``BLOCK_ROWS + 1`` rows is one block and matches a whole-array pass bitwise;
 on more rows a short last block may take another BLAS kernel.
+
+Each SGD step runs on flat float64 vectors: the parameters, their momentum
+and the gradient are one vector each, laid out as every layer's weight
+matrix in order, then every layer's bias, and the per-layer weights and
+biases are reshaped views of them.  Backpropagation writes each layer's
+gradient with ``out=`` into the gradient's views, from batch buffers built
+once per fit (``_StepWork``); a short last batch uses their leading rows.
+Momentum, clipping and the finiteness check are then one pass each over a
+flat vector.  The best-validation snapshot is a copy of the parameter vector,
+and the returned model holds copies of its views, so no two of its arrays
+share memory.  The policy head takes ``expit`` from
+``policycate.surrogate.special``, so ``scipy.special`` loads only once a
+network trains on a head that needs it.
 """
 
 from __future__ import annotations
@@ -45,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from . import rng
 from . import surrogate as sg
@@ -146,9 +157,41 @@ def _act(z, activation, out=None):
     return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
-def _act_grad(h, activation):
+def _act_grad(h, activation, out):
     # relu's h > 0 equals z > 0 for every pre-activation z, NaN included
-    return (h > 0.0).astype(float) if activation == "relu" else 1.0 - np.square(h)
+    if activation == "relu":
+        return np.greater(h, 0.0, out=out)
+    np.square(h, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _flat_views(flat, sizes):
+    """Per-layer weight and bias views of a flat vector: every weight matrix, then every bias."""
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    views, start = [], 0
+    for shape in [*shapes, *((fan_out,) for _, fan_out in shapes)]:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views[: len(shapes)], views[len(shapes) :]
+
+
+class _StepWork:
+    """Buffers of one fit's SGD steps, for batches of up to ``rows`` rows.
+
+    ``grad`` is the flat gradient and ``grads_w``/``grads_b`` its per-layer
+    views.  Each hidden layer has its activations, its backprop term and one
+    scratch array; a short batch uses their leading rows.
+    """
+
+    def __init__(self, sizes, rows):
+        layers = zip(sizes[:-1], sizes[1:])
+        self.grad = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
+        self.grads_w, self.grads_b = _flat_views(self.grad, sizes)
+        self.upstream = np.empty((rows, 1))
+        self.hidden = [np.empty((rows, width)) for width in sizes[1:-1]]
+        self.delta = [np.empty((rows, width)) for width in sizes[1:-1]]
+        self.scratch = [np.empty((rows, width)) for width in sizes[1:-1]]
 
 
 def _forward(weights, biases, activation, a, hidden, dropout_rate=0.0, rng=None):
@@ -187,50 +230,61 @@ def _scores(weights, biases, activation, x_mean, x_sd, x):
     return out
 
 
-def _global_norm(grads_w, grads_b):
+def _sum_of_squares(arrays):
+    # one reduction per array, added in order; a single pass over the flat
+    # vector would group the sum differently and move the last bits
     total = 0.0
-    for g in grads_w:
-        total += float(np.sum(np.square(g)))
-    for g in grads_b:
-        total += float(np.sum(np.square(g)))
-    return math.sqrt(total)
+    for a in arrays:
+        total += float(np.add.reduce(np.square(a), axis=None))
+    return total
 
 
 def _batch_gradients(
-    weights, biases, xb, yb, activation, dropout_rate, rng, head_loss, head_dloss, wd
+    weights, biases, xb, yb, activation, dropout_rate, rng, head_step, wd, work=None
 ):
     """Full loss of one batch and its gradients for every parameter.
 
-    The loss is mean per-sample head loss plus the weight-decay penalty; the
-    gradients come from standard backpropagation with the analytic head
-    derivative as the final-layer upstream term.
+    ``head_step(scores, yb)`` returns the batch's mean head loss and the
+    per-row slope of the head loss in the score.  The loss adds the
+    weight-decay penalty; the gradients come from standard backpropagation
+    with that slope as the final-layer upstream term, written into the
+    per-layer views of ``work.grad`` (a fresh :class:`_StepWork` without
+    ``work``), which are returned.
     """
-    hidden = [np.empty((xb.shape[0], w.shape[1])) for w in weights[:-1]]
+    m = xb.shape[0]
+    if work is None:
+        work = _StepWork([xb.shape[1], *(w.shape[1] for w in weights)], m)
+    hidden = [h[:m] for h in work.hidden]
     scores, a, layers = _forward(weights, biases, activation, xb, hidden, dropout_rate, rng)
-    batch_loss = float(np.mean(head_loss(scores, yb)))
+    batch_loss, slope = head_step(scores, yb)
     if wd > 0.0:
-        batch_loss += wd * sum(float(np.sum(np.square(w))) for w in weights)
+        batch_loss += wd * _sum_of_squares(weights)
 
-    g = (head_dloss(scores, yb) / xb.shape[0])[:, None]
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
-    grads_w[-1] = a.T @ g
-    grads_b[-1] = g.sum(axis=0)
+    g = work.upstream[:m]
+    np.divide(slope, m, out=g[:, 0])
+    np.matmul(a.T, g, out=work.grads_w[-1])
+    np.add.reduce(g, axis=0, out=work.grads_b[-1])
     for layer in range(len(layers) - 1, -1, -1):
         a_in, h, mask = layers[layer]
-        g = g @ weights[layer + 1].T
+        w_next = weights[layer + 1]
+        d = work.delta[layer][:m]
+        if w_next.shape[1] == 1:  # a rank-one product: one rounding per entry either way
+            np.multiply(g, w_next.T, out=d)
+        else:
+            np.matmul(g, w_next.T, out=d)
         if mask is not None:
-            g = g * mask
-        g = g * _act_grad(h, activation)
-        grads_w[layer] = a_in.T @ g
-        grads_b[layer] = g.sum(axis=0)
+            d *= mask
+        d *= _act_grad(h, activation, out=work.scratch[layer][:m])
+        np.matmul(a_in.T, d, out=work.grads_w[layer])
+        np.add.reduce(d, axis=0, out=work.grads_b[layer])
+        g = d
     if wd > 0.0:
-        for layer, w in enumerate(weights):
-            grads_w[layer] = grads_w[layer] + 2.0 * wd * w
-    return batch_loss, grads_w, grads_b
+        for gw, w in zip(work.grads_w, weights):
+            gw += 2.0 * wd * w
+    return batch_loss, work.grads_w, work.grads_b
 
 
-def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta, log_train_objective):
+def _train(x, y_star, cfg: MlpConfig, head_loss, head_step, head_meta, log_train_objective):
     n, k = x.shape
     if n < 10:
         raise ValidationError("need at least 10 observations to train")
@@ -249,9 +303,12 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta, log_trai
     xs_tr = (x_tr - x_mean) / x_sd
 
     sizes = [k, *cfg.hidden_sizes, 1]
-    weights, biases = _init_params(sizes, cfg.activation, init_rng)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    init_w, init_b = _init_params(sizes, cfg.activation, init_rng)
+    params = np.concatenate([p.ravel() for p in (*init_w, *init_b)])
+    weights, biases = _flat_views(params, sizes)
+    vel = np.zeros_like(params)
+    n_tr = tr_idx.shape[0]
+    work = _StepWork(sizes, min(cfg.batch_size, n_tr))
     wd, lr = cfg.weight_decay, cfg.learning_rate
 
     def data_objective(x_part, ys_part):
@@ -261,46 +318,38 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta, log_trai
     log = []
     best_val = math.inf
     best_epoch = 0
-    best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+    best_params = params.copy()
     since_best = 0
-    n_tr = tr_idx.shape[0]
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(n_tr)
         for start in range(0, n_tr, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = xs_tr[idx], ys_tr[idx]
             batch_loss, grads_w, grads_b = _batch_gradients(
                 weights,
                 biases,
-                xb,
-                yb,
+                xs_tr[idx],
+                ys_tr[idx],
                 cfg.activation,
                 cfg.dropout_rate,
                 dropout_rng,
-                head_loss,
-                head_dloss,
+                head_step,
                 wd,
+                work,
             )
             if not math.isfinite(batch_loss):
                 raise NonFiniteLossError(f"non-finite batch loss at epoch {epoch}")
 
             if cfg.grad_clip_norm is not None:
-                norm = _global_norm(grads_w, grads_b)
+                norm = math.sqrt(_sum_of_squares((*grads_w, *grads_b)))
                 if norm > cfg.grad_clip_norm:
-                    scale = cfg.grad_clip_norm / norm
-                    for g in (*grads_w, *grads_b):
-                        g *= scale
+                    work.grad *= cfg.grad_clip_norm / norm
 
-            for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grads_w, grads_b):
-                vw *= _MOMENTUM
-                vw -= lr * gw
-                vb *= _MOMENTUM
-                vb -= lr * gb
-                w += vw
-                b += vb
-                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                    raise NonFiniteLossError(f"non-finite parameters at epoch {epoch}")
+            vel *= _MOMENTUM
+            vel -= np.multiply(work.grad, lr, out=work.grad)
+            params += vel
+            if not np.isfinite(params).all():
+                raise NonFiniteLossError(f"non-finite parameters at epoch {epoch}")
 
         train_obj = data_objective(x_tr, ys_tr) if log_train_objective else math.nan
         val_obj = data_objective(x_val, ys_val)
@@ -308,16 +357,17 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_dloss, head_meta, log_trai
         if val_obj < best_val:
             best_val = val_obj
             best_epoch = epoch
-            best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+            best_params = params.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.early_stop_patience:
                 break
 
+    best_w, best_b = _flat_views(best_params, sizes)
     return MlpModel(
-        weights=best_snapshot[0],
-        biases=best_snapshot[1],
+        weights=[w.copy() for w in best_w],
+        biases=[b.copy() for b in best_b],
         activation=cfg.activation,
         x_mean=x_mean,
         x_sd=x_sd,
@@ -346,11 +396,16 @@ def train_surrogate_mlp(
     def head_loss(scores, ys):
         return -np.asarray(sg.loss_q(spec, scores, ys))
 
-    def head_dloss(scores, ys):
-        return -np.asarray(sg.dloss_dtau(spec, scores, ys))
+    def head_step(scores, ys):
+        # one workspace: the slope reuses the loss's density term
+        work = sg.RowWork(spec, ys)
+        loss = sg.loss_q(spec, scores, ys, work=work)
+        mean_loss = float(np.mean(np.negative(loss, out=loss)))
+        slope = sg.dloss_dtau(spec, scores, ys, work=work)
+        return mean_loss, np.negative(slope, out=slope)
 
     meta = {"head": "surrogate", "spec": spec, "cost": spec.cost, "temperature": None}
-    return _train(td.x, td.y_star, cfg, head_loss, head_dloss, meta, log_train_objective)
+    return _train(td.x, td.y_star, cfg, head_loss, head_step, meta, log_train_objective)
 
 
 def train_direct_policy(
@@ -365,16 +420,17 @@ def train_direct_policy(
     ``log_train_objective`` means what it does for :func:`train_surrogate_mlp`.
     """
     temp = cfg.temperature
+    expit = sg.special().expit
 
     def head_loss(scores, ys):
         return -expit(scores / temp) * (ys - c)
 
-    def head_dloss(scores, ys):
+    def head_step(scores, ys):
         p = expit(scores / temp)
-        return -(ys - c) * p * (1.0 - p) / temp
+        return float(np.mean(-p * (ys - c))), -(ys - c) * p * (1.0 - p) / temp
 
     meta = {"head": "policy", "spec": None, "cost": float(c), "temperature": temp}
-    return _train(td.x, td.y_star, cfg.mlp, head_loss, head_dloss, meta, log_train_objective)
+    return _train(td.x, td.y_star, cfg.mlp, head_loss, head_step, meta, log_train_objective)
 
 
 def predict_mlp(model: MlpModel, x_new):

@@ -36,22 +36,40 @@ last saw, so a solver that takes the slope at its last evaluated point pays
 for that term once.  Without ``work`` each call builds a fresh workspace on
 its broadcast inputs and runs the same code, so both forms return the same
 bits, and a scalar call still returns a float.
+
+Special functions
+-----------------
+``scipy.special`` loads at the first special-function call, through the
+cached :func:`special`, not when this module is imported; ``scipy.optimize``
+loads inside :func:`scalar_argmax`.  Each import takes about a quarter
+second (``scipy.special`` mostly for scipy's array-API layer), and
+``import policycate``, ``simulate`` and ``evaluate`` (whose ``ols`` refit
+uses the uniform family) call neither, so they load neither.  A hot kernel
+pays one cached call per pass.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, expit, log_expit, log_ndtr
 
 from .errors import DomainError, SearchError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MIN_SCALE = 1e-8
+
+
+@functools.cache
+def special():
+    """The ``scipy.special`` module, imported at the first call (see the module note)."""
+    import scipy.special
+
+    return scipy.special
 
 
 class Family(str, enum.Enum):
@@ -144,7 +162,7 @@ def _Phi(z, out=None):
     # complementary error function avoids cancellation in the lower tail;
     # z / -sqrt(2) rounds exactly as -z / sqrt(2) and takes one pass
     out = np.divide(z, -_SQRT2, out=_buffer(z, out))
-    erfc(out, out=out)
+    special().erfc(out, out=out)
     out *= 0.5
     return out
 
@@ -165,7 +183,7 @@ def cdf(spec: SurrogateSpec, u):
     if spec.family is Family.NORMAL:
         out = _Phi((u - spec.cost) / spec.scale)
     elif spec.family is Family.LOGISTIC:
-        out = expit((u - spec.cost) / spec.scale)
+        out = special().expit((u - spec.cost) / spec.scale)
     else:
         out = np.clip((u - spec.uniform_lo) / (spec.uniform_hi - spec.uniform_lo), 0.0, 1.0)
     return _as_float(out)
@@ -177,6 +195,7 @@ def _logistic_tail(tau_bar):
     The direct form cancels catastrophically for large |t|; each half-line
     gets the algebraically equivalent expression that stays additive there.
     """
+    expit = special().expit
     tb = np.asarray(tau_bar, dtype=float)
     finite = np.isfinite(tb)
     safe = np.where(finite, tb, 0.0)
@@ -198,7 +217,7 @@ def partial_mean(spec: SurrogateSpec, tau):
         out = spec.cost * _Phi(z) - spec.scale * _phi(z)
     elif spec.family is Family.LOGISTIC:
         z = (tau - spec.cost) / spec.scale
-        out = spec.cost * expit(z) + spec.scale * _logistic_tail(z)
+        out = spec.cost * special().expit(z) + spec.scale * _logistic_tail(z)
     else:
         t = np.clip(tau, spec.uniform_lo, spec.uniform_hi)
         out = (np.square(t) - spec.uniform_lo**2) / (2.0 * (spec.uniform_hi - spec.uniform_lo))
@@ -218,12 +237,13 @@ def kappa(spec: SurrogateSpec, tau):
     if spec.family is Family.NORMAL:
         z = (tau - spec.cost) / spec.scale
         # phi(z)/Phi(z) in log space stays accurate far into the lower tail
-        inv_mills = np.exp(-0.5 * np.square(z) - math.log(math.sqrt(2.0 * math.pi)) - log_ndtr(z))
+        log_cdf = special().log_ndtr(z)
+        inv_mills = np.exp(-0.5 * np.square(z) - math.log(math.sqrt(2.0 * math.pi)) - log_cdf)
         out = spec.cost - spec.scale * inv_mills
     elif spec.family is Family.LOGISTIC:
         z = (tau - spec.cost) / spec.scale
         # E[C | C <= tau] = cost + scale * (z - softplus(z) / G(z))
-        out = spec.cost + spec.scale * (z - np.logaddexp(0.0, z) / expit(z))
+        out = spec.cost + spec.scale * (z - np.logaddexp(0.0, z) / special().expit(z))
     else:
         if np.any(tau <= spec.uniform_lo):
             raise DomainError("F_C(tau) = 0 below the uniform support")
@@ -264,6 +284,7 @@ class RowWork:
             _phi(t, out=self._shared[0])
         elif self.spec.family is Family.LOGISTIC:
             g_pos, g_neg = self._shared
+            expit = special().expit
             expit(t, out=g_pos)
             expit(np.negative(t, out=g_neg), out=g_neg)
         else:
@@ -310,7 +331,7 @@ def loss_q(spec: SurrogateSpec, tau_bar, y_star, *, work: RowWork | None = None)
         # 1 - G(t) = G(-t) and ln G(t) = -softplus(-t), both overflow-safe
         g_pos, g_neg = w._shared
         np.multiply(t, g_neg, out=out)
-        out -= log_expit(t, out=tmp)
+        out -= special().log_expit(t, out=tmp)
         out *= spec.scale
         out += np.multiply(g_pos, w._resid0, out=tmp)
     else:
@@ -356,6 +377,7 @@ def d2loss_dtau2(spec: SurrogateSpec, tau_bar, y_star):
         resid = y_star - spec.cost - spec.scale * tau_bar
         out = -_phi(tau_bar) * (tau_bar * resid + spec.scale)
     elif spec.family is Family.LOGISTIC:
+        expit = special().expit
         G = expit(tau_bar)
         g = G * expit(-tau_bar)
         resid = y_star - spec.cost - spec.scale * tau_bar

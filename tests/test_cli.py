@@ -628,12 +628,15 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 
 # SHA-256 of every file written by a few fixed-seed commands, recorded before
 # the CSV/JSON writers were merged into dataio.write_csv/write_json; the
-# writers must keep every byte.  The two network fits (recorded before the
-# train-split objective became opt-in) also pin the training loop, so their
-# model.json and training_log.csv must keep every byte too.  Unlike the other
-# files they depend on matrix products: they are too small for a BLAS thread
-# split, and relu keeps them off numpy's CPU-specific tanh kernels, but a
-# BLAS build that sums in another order would need them re-recorded.
+# writers must keep every byte.  The relu and policy network fits (recorded
+# before the train-split objective became opt-in) also pin the training
+# loop, so their model.json and training_log.csv must keep every byte too.
+# The tanh network on the logistic head (recorded before the SGD step moved
+# onto one flat parameter buffer) pins the other activation and head.
+# Unlike the other files the networks depend on matrix products: they are
+# too small for a BLAS thread split, but a BLAS build that sums in another
+# order, or a numpy whose tanh kernel for this CPU rounds differently, would
+# need them re-recorded.
 GOLDEN_OUTPUT_SHA256 = {
     "curve/curve_sigma_0.5.csv": "c88321c44dfc8edd8f07b950e36e0246eb0d41fd548e3f20316138a85d39e2b8",
     "curve/curve_sigma_inf.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
@@ -642,6 +645,8 @@ GOLDEN_OUTPUT_SHA256 = {
     "fit_mlp/training_log.csv": "514ce1ba05c6f2ccb1015c87c8dd6641815d8956dadf49420a9032d217702b49",
     "fit_policy/model.json": "581aeb33bfbbe14b65f554577d5331d8b35b70d160df337d42e83d7a6978a308",
     "fit_policy/training_log.csv": "466e3d44cfecbab58b2bbe4fe9b513a017fd2affb9c38e6a00b90e3533af8b0f",
+    "fit_tanh/model.json": "d2f2aad4f2bd8dfe2c2e4c6c6adea9675200198fef01e57a9b6a4679380e49d7",
+    "fit_tanh/training_log.csv": "e970c659e9771cfa3999735fbad0cc582130d2bfd7d1a1d821e3ae82cd694425",
     "mail.csv": "123103a73c37ed0fb0061fc812a6adfe4e7819a82df77c463c95bf2e52df9ee9",
     "mail_rounds.csv": "abe887e70ffdebf0e00b6fb528719e63681257df8e940f2fc85b81cda9b78a8e",
     "oracle.csv": "27a22a96c7e53c2ec81367a4ff70067a934434a4a6a5d0be7eb7354ae29eb840",
@@ -669,6 +674,10 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
     nets = {
         "mlp": {"type": "mlp", "family": "normal", "sigma": 1.0, "cost": 1.0, "mlp": net},
         "policy": {"type": "policy", "cost": 1.0, "temperature": 0.2, "mlp": net},
+        "tanh": {
+            "type": "mlp", "family": "logistic", "sigma": 0.5, "cost": 1.0,
+            "mlp": {**net, "activation": "tanh"},
+        },
     }
     out = tmp_path / "out"
     data = str(out / "sim" / "simple_rep000_seed7.csv")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -80,16 +81,14 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     p = tmp_path / "a.csv"
     dataio.save_dataset(p, sample_dataset().dataset)
     before = p.read_bytes()
-    fmt = dataio.fmt
-    calls = []
+    row_blocks = dataio.row_blocks
 
-    def failing_fmt(x):
-        calls.append(x)
-        if len(calls) > 100:
-            raise RuntimeError("disk full")
-        return fmt(x)
+    def failing_row_blocks(n):
+        # the first block's rows reach the file before the write fails
+        yield from itertools.islice(row_blocks(n), 1)
+        raise RuntimeError("disk full")
 
-    monkeypatch.setattr(dataio, "fmt", failing_fmt)
+    monkeypatch.setattr(dataio, "row_blocks", failing_row_blocks)
     other = gen_simple(SimpleDgp(), 200, seed=4)
     with pytest.raises(RuntimeError, match="disk full"):
         dataio.save_dataset(p, other.dataset, other.tau_true)

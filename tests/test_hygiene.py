@@ -69,10 +69,9 @@ def test_module_reads_every_private_name_it_defines(path):
     assert dead_private_names(path.read_text()) == []
 
 
-def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    # scalar_argmax imports scipy.optimize inside the function, which keeps a
-    # quarter second and about 20 MB off every command that does not need it
-    code = "import sys, policycate; print('scipy.optimize' in sys.modules)"
+def loaded_after(code, modules):
+    """Those of ``modules`` that are in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    code = f"{code}\nimport sys\nprint([m for m in {list(modules)!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
@@ -80,4 +79,31 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_importing_the_package_leaves_scipy_module_unloaded(module):
+    # scalar_argmax imports scipy.optimize inside the function, and
+    # surrogate.special imports scipy.special at the first special-function
+    # call; each keeps about a quarter second off every command that does
+    # not need it
+    assert loaded_after("import policycate", [module]) == []
+
+
+def test_simulate_and_evaluate_ols_leave_scipy_special_unloaded(tmp_path):
+    # simulate draws data, and evaluate's ols refit uses the uniform family:
+    # neither calls a special function
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        '{"dgp": {"name": "complex", "n": 300, "seed": 1},'
+        ' "evaluation": {"n": 2000, "seed": 99}}'
+    )
+    commands = [
+        ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")],
+        ["evaluate", "--model", "ols", "--config", str(config), "--out", str(tmp_path / "ols.csv")],
+    ]
+    for argv in commands:
+        code = f"from policycate.cli import main\nassert main({argv!r}) == 0"
+        assert loaded_after(code, ["scipy.special", "scipy.optimize"]) == [], argv
+    assert (tmp_path / "ols.csv").is_file()

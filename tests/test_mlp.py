@@ -37,12 +37,17 @@ def make_heads(kind, spec=None, c=1.0, temp=0.1):
     )
 
 
+def as_step(head_loss, head_dloss):
+    """The ``(mean loss, slope)`` head callable that _batch_gradients takes."""
+    return lambda s, ys: (float(np.mean(head_loss(s, ys))), head_dloss(s, ys))
+
+
 def fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, dropout_rate, h=1e-5):
     def loss_at():
         # a fresh generator per call: every loss sees the analytic pass's masks
         loss, _, _ = _batch_gradients(
             weights, biases, xb, yb, activation, dropout_rate, np.random.default_rng(DROPOUT_SEED),
-            head_loss, lambda s, y: s, wd,
+            as_step(head_loss, lambda s, y: s), wd,
         )
         return loss
 
@@ -66,7 +71,7 @@ def backprop_errors(weights, biases, xb, yb, activation, head_loss, head_dloss, 
     """Max relative error of each analytic gradient against central differences."""
     _, gw, gb = _batch_gradients(
         weights, biases, xb, yb, activation, dropout_rate, np.random.default_rng(DROPOUT_SEED),
-        head_loss, head_dloss, wd,
+        as_step(head_loss, head_dloss), wd,
     )
     fw, fb = fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, dropout_rate)
     return [np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) for a, b in zip(gw + gb, fw + fb)]
@@ -172,6 +177,21 @@ def test_train_objective_flag_changes_only_the_train_column(head):
     assert [(e, v) for e, _, v in on.training_log] == [(e, v) for e, _, v in off.training_log]
     assert all(np.isfinite(t) for _, t, _ in on.training_log)
     assert all(np.isnan(t) for _, t, _ in off.training_log)
+
+
+@pytest.mark.parametrize("hidden", [(), (8, 4)])
+def test_trained_model_arrays_share_no_memory(hidden):
+    # the trainer steps on one flat parameter vector with per-layer views;
+    # the returned model must own separate arrays, not views of that vector
+    # or of the best-epoch snapshot
+    td = small_problem(np.random.default_rng(13), n=120)
+    cfg = MlpConfig(hidden_sizes=hidden, max_epochs=8, early_stop_patience=2, batch_size=32, seed=4)
+    model = train_surrogate_mlp(td, SurrogateSpec.normal(1.0, 1.0), cfg)
+    arrays = [*model.weights, *model.biases, model.x_mean, model.x_sd]
+    assert all(a.base is None for a in arrays)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_early_stopping_returns_best_snapshot():
