@@ -101,9 +101,10 @@ def load_dataset(path):
     """Read an experiment CSV; returns (Dataset, tau_true or None).
 
     Validates the header (required columns named in errors, no column
-    twice), binary treatment, and the propensity overlap band via the
-    Dataset constructor.  Blank lines are skipped, and the data rows stream
-    into ``np.loadtxt`` without a list of every line.
+    twice), binary treatment and the propensity overlap band via the
+    Dataset constructor, and that every ``tau_true`` cell is finite.  Blank
+    lines are skipped, and the data rows stream into ``np.loadtxt`` without
+    a list of every line.
     """
     try:
         f = open(path)
@@ -148,11 +149,13 @@ def load_dataset(path):
     if data.shape[1] != len(header):
         raise DataError(f"{path}: expected {len(header)} fields per row, got {data.shape[1]}")
     x = data[:, [idx[name] for name in expected]] if expected else np.ones((data.shape[0], 0))
+    tau = data[:, idx["tau_true"]] if "tau_true" in idx else None
     try:
         ds = Dataset(x=x, w=data[:, idx["w"]], y=data[:, idx["y"]], e=data[:, idx["e"]])
+        if tau is not None and not np.all(np.isfinite(tau)):
+            raise ValidationError("non-finite tau_true")
     except Exception as exc:
         raise DataError(f"{path}: {exc}") from exc
-    tau = data[:, idx["tau_true"]] if "tau_true" in idx else None
     return ds, tau
 
 

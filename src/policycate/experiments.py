@@ -204,10 +204,6 @@ def validate_config(doc, required_sections=()):
     return doc
 
 
-def _sigma_value(v):
-    return math.inf if v == "inf" else float(v)
-
-
 def _dgp_from_config(cfg):
     section = cfg["dgp"]
     noise_sd = float(section.get("noise_sd", 0.1))
@@ -226,11 +222,7 @@ def _generate(dgp, n, seed):
 
 
 def _mlp_config(doc, seed_default=0):
-    doc = dict(doc or {})
-    if "hidden_sizes" in doc:
-        doc["hidden_sizes"] = tuple(doc["hidden_sizes"])
-    doc.setdefault("seed", seed_default)
-    return MlpConfig(**doc)
+    return MlpConfig(**{"seed": seed_default, **(doc or {})})
 
 
 def _default_design(k):
@@ -276,7 +268,7 @@ def _spec_from_model_config(model):
     lo, hi = (float(model[k]) if k in model else None for k in ("uniform_lo", "uniform_hi"))
     cost = float(model.get("cost", 1.0))
     return _threshold_spec(
-        model.get("family", "normal"), cost, _sigma_value(model.get("sigma", 1.0)), lo, hi
+        model.get("family", "normal"), cost, float(model.get("sigma", 1.0)), lo, hi
     )
 
 
@@ -417,7 +409,7 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
     if family == "uniform":
         raise ConfigError("model.family: cv tunes sigma; use normal or logistic")
     cost = float(model_cfg.get("cost", 1.0))
-    grid = SigmaGrid(tuple(_sigma_value(v) for v in selection.get("grid", DEFAULT_SIGMA_GRID)))
+    grid = SigmaGrid(tuple(selection.get("grid", DEFAULT_SIGMA_GRID)))
     folds = int(selection.get("folds", 5))
     seed = int(selection.get("seed", 0))
 
@@ -479,7 +471,7 @@ def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, u
         sigmas = sigmas[:1]
     paths = []
     for sigma in sigmas:
-        sigma = _sigma_value(sigma)
+        sigma = float(sigma)
         spec = _threshold_spec(family, cost, sigma, uniform_lo, uniform_hi)
         if family == "uniform":
             label = "uniform"
@@ -540,8 +532,8 @@ def _table2_params(cfg):
             params["mlp"].update(value)
         else:
             params[key] = value
-    params["linear_grid"] = SigmaGrid(tuple(_sigma_value(v) for v in params["linear_grid"]))
-    params["mlp_grid"] = SigmaGrid(tuple(_sigma_value(v) for v in params["mlp_grid"]))
+    params["linear_grid"] = SigmaGrid(tuple(params["linear_grid"]))
+    params["mlp_grid"] = SigmaGrid(tuple(params["mlp_grid"]))
     dgp_cfg = {"dgp": cfg["dgp"]} if "dgp" in cfg else None
     if dgp_cfg is not None and cfg["dgp"]["name"] != "complex":
         raise ConfigError("dgp.name: the benchmark table uses the complex generator")

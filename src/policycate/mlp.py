@@ -1,12 +1,14 @@
 """Small multilayer perceptrons trained with the surrogate loss head.
 
 The network parameterizes the CATE score directly (standardized scale for
-normal/logistic threshold families, money scale for uniform); only the
-final-layer upstream gradient depends on the head, and it is the analytic
-derivative of the per-observation objective.  A second head trains a pure
-policy score by maximizing the smoothed experimental policy value
-``sigmoid(score / temperature) * (y* - cost)``; its output ranks and
-thresholds units but is not a CATE.
+normal/logistic threshold families, money scale for uniform).  A second
+head trains a pure policy score by maximizing the smoothed experimental
+policy value ``sigmoid(score / temperature) * (y* - cost)``; its output
+ranks and thresholds units but is not a CATE.  Each objective is one head,
+``head(scores, y*) -> (mean loss, per-row slope of the loss in the score)``
+(``_surrogate_head``, ``_policy_head``), which every SGD step, every
+per-epoch objective and the backprop tests call.  Its slope is the
+final-layer upstream gradient, the only head-dependent term of backprop.
 
 Training is plain mini-batch SGD with momentum 0.9, optional weight decay,
 inverted dropout on hidden activations, optional global-norm gradient
@@ -239,24 +241,20 @@ def _sum_of_squares(arrays):
     return total
 
 
-def _batch_gradients(
-    weights, biases, xb, yb, activation, dropout_rate, rng, head_step, wd, work=None
-):
+def _batch_gradients(weights, biases, xb, yb, activation, dropout_rate, rng, head, wd, work):
     """Full loss of one batch and its gradients for every parameter.
 
-    ``head_step(scores, yb)`` returns the batch's mean head loss and the
-    per-row slope of the head loss in the score.  The loss adds the
-    weight-decay penalty; the gradients come from standard backpropagation
-    with that slope as the final-layer upstream term, written into the
-    per-layer views of ``work.grad`` (a fresh :class:`_StepWork` without
-    ``work``), which are returned.
+    ``head(scores, yb)`` returns the batch's mean head loss and the per-row
+    slope of the head loss in the score.  The loss adds the weight-decay
+    penalty; the gradients come from standard backpropagation with that
+    slope as the final-layer upstream term, written into the per-layer
+    views of ``work.grad``, which are returned.  The next call on ``work``
+    overwrites them.
     """
     m = xb.shape[0]
-    if work is None:
-        work = _StepWork([xb.shape[1], *(w.shape[1] for w in weights)], m)
     hidden = [h[:m] for h in work.hidden]
     scores, a, layers = _forward(weights, biases, activation, xb, hidden, dropout_rate, rng)
-    batch_loss, slope = head_step(scores, yb)
+    batch_loss, slope = head(scores, yb)
     if wd > 0.0:
         batch_loss += wd * _sum_of_squares(weights)
 
@@ -284,7 +282,7 @@ def _batch_gradients(
     return batch_loss, work.grads_w, work.grads_b
 
 
-def _train(x, y_star, cfg: MlpConfig, head_loss, head_step, head_meta, log_train_objective):
+def _train(x, y_star, cfg: MlpConfig, head, head_meta, log_train_objective):
     n, k = x.shape
     if n < 10:
         raise ValidationError("need at least 10 observations to train")
@@ -313,7 +311,7 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_step, head_meta, log_train
 
     def data_objective(x_part, ys_part):
         scores = _scores(weights, biases, cfg.activation, x_mean, x_sd, x_part)
-        return float(np.mean(head_loss(scores, ys_part)))
+        return head(scores, ys_part)[0]
 
     log = []
     best_val = math.inf
@@ -333,7 +331,7 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_step, head_meta, log_train
                 cfg.activation,
                 cfg.dropout_rate,
                 dropout_rng,
-                head_step,
+                head,
                 wd,
                 work,
             )
@@ -378,6 +376,31 @@ def _train(x, y_star, cfg: MlpConfig, head_loss, head_step, head_meta, log_train
     )
 
 
+def _surrogate_head(spec: sg.SurrogateSpec):
+    """The negated surrogate objective: ``head(scores, y*) -> (mean loss, per-row slope)``."""
+
+    def head(scores, ys):
+        # one workspace: the slope reuses the loss's density term
+        work = sg.RowWork(spec, ys)
+        loss = sg.loss_q(spec, scores, ys, work=work)
+        mean_loss = float(np.mean(np.negative(loss, out=loss)))
+        slope = sg.dloss_dtau(spec, scores, ys, work=work)
+        return mean_loss, np.negative(slope, out=slope)
+
+    return head
+
+
+def _policy_head(cost, temperature):
+    """The negated smoothed policy value ``sigmoid(s / T) * (y* - cost)``, as a head."""
+    expit = sg.special().expit
+
+    def head(scores, ys):
+        p = expit(scores / temperature)
+        return float(np.mean(-p * (ys - cost))), -(ys - cost) * p * (1.0 - p) / temperature
+
+    return head
+
+
 def train_surrogate_mlp(
     td: TransformedDataset,
     spec: sg.SurrogateSpec,
@@ -392,20 +415,8 @@ def train_surrogate_mlp(
     With ``log_train_objective`` the training log holds the train-split
     objective after each epoch; without it that column is NaN.
     """
-
-    def head_loss(scores, ys):
-        return -np.asarray(sg.loss_q(spec, scores, ys))
-
-    def head_step(scores, ys):
-        # one workspace: the slope reuses the loss's density term
-        work = sg.RowWork(spec, ys)
-        loss = sg.loss_q(spec, scores, ys, work=work)
-        mean_loss = float(np.mean(np.negative(loss, out=loss)))
-        slope = sg.dloss_dtau(spec, scores, ys, work=work)
-        return mean_loss, np.negative(slope, out=slope)
-
     meta = {"head": "surrogate", "spec": spec, "cost": spec.cost, "temperature": None}
-    return _train(td.x, td.y_star, cfg, head_loss, head_step, meta, log_train_objective)
+    return _train(td.x, td.y_star, cfg, _surrogate_head(spec), meta, log_train_objective)
 
 
 def train_direct_policy(
@@ -420,17 +431,8 @@ def train_direct_policy(
     ``log_train_objective`` means what it does for :func:`train_surrogate_mlp`.
     """
     temp = cfg.temperature
-    expit = sg.special().expit
-
-    def head_loss(scores, ys):
-        return -expit(scores / temp) * (ys - c)
-
-    def head_step(scores, ys):
-        p = expit(scores / temp)
-        return float(np.mean(-p * (ys - c))), -(ys - c) * p * (1.0 - p) / temp
-
     meta = {"head": "policy", "spec": None, "cost": float(c), "temperature": temp}
-    return _train(td.x, td.y_star, cfg.mlp, head_loss, head_step, meta, log_train_objective)
+    return _train(td.x, td.y_star, cfg.mlp, _policy_head(c, temp), meta, log_train_objective)
 
 
 def predict_mlp(model: MlpModel, x_new):

@@ -126,16 +126,15 @@ def kfold_cv(
     sigma (the smoother, more MSE-like objective).
     """
     folds = _fold_indices(td.n, k, seed)
-    all_idx = np.arange(td.n)
+    splits = [(td.subset(np.setdiff1d(np.arange(td.n), f)), td.subset(f)) for f in folds]
     scores = []
     for sigma in grid.values:
         spec = spec_for_sigma(family, cost, sigma)
-        for j, fold in enumerate(folds):
-            train_idx = np.setdiff1d(all_idx, fold)
-            predictor = fit(td.subset(train_idx), spec)
-            preds = np.asarray(predictor(td.x[fold]), dtype=float).ravel()
-            mse_proxy = float(np.mean(np.square(td.y_star[fold] - preds)))
-            profit = ipw_policy_value(td.subset(fold), policy_from_cate(preds, cost), cost)
+        for j, (td_train, td_held) in enumerate(splits):
+            preds = np.asarray(fit(td_train, spec)(td_held.x), dtype=float).ravel()
+            # the squared difference is the same in either order, bit for bit
+            mse_proxy = cate_mse(preds, td_held.y_star)
+            profit = ipw_policy_value(td_held, policy_from_cate(preds, cost), cost)
             scores.append(FoldScore(sigma=sigma, fold=j, mse_proxy=mse_proxy, profit=profit))
 
     frontier = []

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from policycate.dgp import ComplexDgp, SimpleDgp, gen_complex, gen_simple, oracle_policy_value
-from policycate.evaluation import cate_mse
+from policycate.dgp import SimpleDgp, gen_simple, oracle_policy_value
 from policycate.experiments import run_table2
 from policycate.linear import (
     LinearFitConfig,
@@ -25,7 +24,13 @@ from policycate.linear import (
     sandwich_covariance,
     transform_outcomes,
 )
-from policycate.mlp import MlpConfig, _batch_gradients, _init_params
+from policycate.mlp import (
+    _batch_gradients,
+    _init_params,
+    _policy_head,
+    _StepWork,
+    _surrogate_head,
+)
 from policycate.selection import (
     DEFAULT_SIGMA_GRID,
     SigmaGrid,
@@ -113,32 +118,21 @@ def test_criterion_3_derivative_suites():
             d = dloss_dtau(spec, tb, ys)
             fd = (loss_q(spec, tb + h, ys) - loss_q(spec, tb - h, ys)) / (2 * h)
             worst_lin = max(worst_lin, abs(d - fd) / (1 + abs(d)))
-    # full network backprop for every head, tanh (smooth) activation
-    from scipy.special import expit
-
-    def policy_heads(temp=0.1, c=1.0):
-        return (
-            lambda s, ys: -expit(s / temp) * (ys - c),
-            lambda s, ys: -(ys - c) * expit(s / temp) * (1 - expit(s / temp)) / temp,
-        )
-
-    heads = [
-        (lambda s, ys, sp=sp: -np.asarray(loss_q(sp, s, ys)),
-         lambda s, ys, sp=sp: -np.asarray(dloss_dtau(sp, s, ys)))
-        for sp in specs
-    ] + [policy_heads()]
+    # full network backprop for every shipped head, tanh (smooth) activation
+    heads = [_surrogate_head(sp) for sp in specs] + [_policy_head(1.0, 0.1)]
     worst_mlp = 0.0
     xb = rng.normal(size=(5, 2))
     yb = rng.normal(scale=2.0, size=5)
-    for head_loss, head_dloss in heads:
+    work = _StepWork([2, 3, 1], 5)
+    for head in heads:
         weights, biases = _init_params([2, 3, 1], "tanh", rng)
 
-        def step(s, ys):
-            return float(np.mean(head_loss(s, ys))), head_dloss(s, ys)
+        def step():
+            return _batch_gradients(weights, biases, xb, yb, "tanh", 0.0, None, head, 0.0, work)
 
-        _, gw, gb = _batch_gradients(
-            weights, biases, xb, yb, "tanh", 0.0, None, step, 0.0
-        )
+        _, gw, gb = step()
+        # the gradients are views of work.grad, which every later step overwrites
+        gw, gb = [g.copy() for g in gw], [g.copy() for g in gb]
         hp = 1e-5
         for params, grads in ((weights, gw), (biases, gb)):
             for layer, p in enumerate(params):
@@ -147,13 +141,9 @@ def test_criterion_3_derivative_suites():
                 for j in range(flat.shape[0]):
                     orig = flat[j]
                     flat[j] = orig + hp
-                    up, _, _ = _batch_gradients(
-                        weights, biases, xb, yb, "tanh", 0.0, None, step, 0.0
-                    )
+                    up = step()[0]
                     flat[j] = orig - hp
-                    dn, _, _ = _batch_gradients(
-                        weights, biases, xb, yb, "tanh", 0.0, None, step, 0.0
-                    )
+                    dn = step()[0]
                     flat[j] = orig
                     fd = (up - dn) / (2 * hp)
                     worst_mlp = max(worst_mlp, abs(gflat[j] - fd) / (1 + abs(gflat[j])))

@@ -49,6 +49,18 @@ def test_simulate_is_deterministic_and_counts_replications(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_variance_convention_reads_noise_sd_as_a_variance(tmp_path):
+    files = []
+    for name, noise in (("var", {"noise_sd": 0.25, "variance_convention": True}),
+                        ("sd", {"noise_sd": 0.5})):
+        doc = base_config()
+        doc["dgp"].update(n=50, **noise)
+        cfg = write_config(tmp_path / f"{name}.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        files.append((tmp_path / name / "simple_rep000_seed7.csv").read_bytes())
+    assert files[0] == files[1]
+
+
 def test_simulate_rejects_zero_n(tmp_path):
     doc = base_config()
     doc["dgp"]["n"] = 0
@@ -137,6 +149,14 @@ def test_fit_on_a_file_that_is_not_utf8_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     assert main(["fit", "--data", str(bad), "--config", cfg, "--out", str(tmp_path / "f")]) == 3
     assert "bad.csv: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_fit_on_a_nan_propensity_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("y,w,e,x1\n1.0,1,0.5,0.2\n0.5,0,nan,0.4\n")
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    assert main(["fit", "--data", str(bad), "--config", cfg, "--out", str(tmp_path / "f")]) == 3
+    assert "bad.csv: propensities must lie in" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -313,6 +333,7 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
         ("missing", 3, "cannot read dataset file"),
         ("no_tau_true", 2, "tau_true"),
         ("other_width", 3, "10 covariate columns, but the training data has 1"),
+        ("nan_tau_true", 3, "non-finite tau_true"),
     ],
 )
 def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, code, message):
@@ -324,6 +345,13 @@ def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, cod
     elif case == "no_tau_true":
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "plain")])
         eval_data = str(tmp_path / "plain" / "simple_rep000_seed7.csv")
+    elif case == "nan_tau_true":
+        lines = (tmp_path / "sim" / "simple_rep000_seed7.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-1] == "tau_true"
+        lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+        eval_data = str(tmp_path / "nan_tau.csv")
+        (tmp_path / "nan_tau.csv").write_text("\n".join(lines) + "\n")
     else:
         wide = write_config(
             tmp_path / "wide.json", base_config(dgp={"name": "complex", "n": 50, "seed": 3})
@@ -632,7 +660,11 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 # before the train-split objective became opt-in) also pin the training
 # loop, so their model.json and training_log.csv must keep every byte too.
 # The tanh network on the logistic head (recorded before the SGD step moved
-# onto one flat parameter buffer) pins the other activation and head.
+# onto one flat parameter buffer) pins the other activation and head.  The
+# linear fit of the base config and a cv --eval-data run on the same draw
+# (recorded before the CV folds were split once per fold and the OLS start
+# lost its separate rank test) pin the linear solver, the CV loop and the
+# frontier sweep.
 # Unlike the other files the networks depend on matrix products: they are
 # too small for a BLAS thread split, but a BLAS build that sums in another
 # order, or a numpy whose tanh kernel for this CPU rounds differently, would
@@ -641,6 +673,10 @@ GOLDEN_OUTPUT_SHA256 = {
     "curve/curve_sigma_0.5.csv": "c88321c44dfc8edd8f07b950e36e0246eb0d41fd548e3f20316138a85d39e2b8",
     "curve/curve_sigma_inf.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
     "curve/curve_sigma_uniform.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
+    "cv/cv_result.json": "fafc0aa2690bda5dbb6f6c88d04302955caaff023f94fefca3f21eea2f62fcae",
+    "cv/frontier.csv": "2b3776e29aa631ca0a1792797f983fdf76efda099e3e80d247348c39adec0b74",
+    "cv/truth_frontier.csv": "43e6b11599e86555263cd72cf80b4330c292c01787c4757e21d379d7767b9527",
+    "fit_linear/model.json": "378b5cd09e664666b9419d0348e86f577ad34db45e43ead1da0f5e45e0472f0c",
     "fit_mlp/model.json": "22d8166e7637da396d727273d9f1b49776483ba475b3714e19ef7dc24a0766aa",
     "fit_mlp/training_log.csv": "514ce1ba05c6f2ccb1015c87c8dd6641815d8956dadf49420a9032d217702b49",
     "fit_policy/model.json": "581aeb33bfbbe14b65f554577d5331d8b35b70d160df337d42e83d7a6978a308",
@@ -691,6 +727,8 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--replications", "2"],
         ["evaluate", "--model", "oracle", "--config", cfg, "--out", str(out / "oracle.csv"),
          "--replications", "2"],
+        ["fit", "--data", data, "--config", cfg, "--out", str(out / "fit_linear")],
+        ["cv", "--data", data, "--config", cfg, "--out", str(out / "cv"), "--eval-data", data],
     ] + [
         ["fit", "--data", data, "--config",
          write_config(tmp_path / f"cfg_{kind}.json", dict(doc, model=model)),

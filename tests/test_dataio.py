@@ -14,7 +14,6 @@ from policycate.dgp import SimpleDgp, gen_simple
 from policycate.errors import DataError, DimensionError, ValidationError
 from policycate.linear import (
     BLOCK_ROWS,
-    Dataset,
     LinearFitConfig,
     TransformedDataset,
     build_design,

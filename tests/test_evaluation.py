@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate.dgp import SimpleDgp, gen_complex, ComplexDgp, gen_simple, oracle_policy_value
+from policycate.dgp import SimpleDgp, gen_complex, ComplexDgp, gen_simple
 from policycate.errors import DimensionError, ValidationError
 from policycate.evaluation import (
     EvalReport,

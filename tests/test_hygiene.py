@@ -11,6 +11,7 @@ import pytest
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "policycate"
 # the package namespace re-exports names it never uses itself
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,7 +32,7 @@ def test_unused_import_scan_finds_one():
     assert unused_imports("import math\nimport os\nos.getcwd()\n") == [(1, "math")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -57,8 +57,9 @@ def complex_td(n, seed):
 
 
 def test_dataset_validation():
-    with pytest.raises(OverlapError):
-        Dataset(x=[[1.0]], w=[1], y=[1.0], e=[1.0])
+    for e in ([1.0], [np.nan]):  # a NaN propensity is outside the band too
+        with pytest.raises(OverlapError):
+            Dataset(x=[[1.0]], w=[1], y=[1.0], e=e)
     with pytest.raises(ValidationError):
         Dataset(x=[[1.0]], w=[2], y=[1.0], e=[0.5])
     with pytest.raises(DimensionError):

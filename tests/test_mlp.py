@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from policycate.errors import DimensionError, NonFiniteLossError, ValidationError
 from policycate.linear import (
@@ -18,63 +17,47 @@ from policycate.mlp import (
     MlpModel,
     _batch_gradients,
     _init_params,
+    _policy_head,
+    _StepWork,
+    _surrogate_head,
     predict_mlp,
     train_direct_policy,
     train_surrogate_mlp,
 )
-from policycate.surrogate import SurrogateSpec, dloss_dtau, loss_q
+from policycate.surrogate import SurrogateSpec
 
 
-def make_heads(kind, spec=None, c=1.0, temp=0.1):
-    if kind == "policy":
-        return (
-            lambda s, ys: -expit(s / temp) * (ys - c),
-            lambda s, ys: -(ys - c) * expit(s / temp) * (1 - expit(s / temp)) / temp,
-        )
-    return (
-        lambda s, ys: -np.asarray(loss_q(spec, s, ys)),
-        lambda s, ys: -np.asarray(dloss_dtau(spec, s, ys)),
-    )
+def shipped_head(kind, spec=None, c=1.0, temp=0.1):
+    return _policy_head(c, temp) if kind == "policy" else _surrogate_head(spec)
 
 
-def as_step(head_loss, head_dloss):
-    """The ``(mean loss, slope)`` head callable that _batch_gradients takes."""
-    return lambda s, ys: (float(np.mean(head_loss(s, ys))), head_dloss(s, ys))
-
-
-def fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, dropout_rate, h=1e-5):
-    def loss_at():
-        # a fresh generator per call: every loss sees the analytic pass's masks
-        loss, _, _ = _batch_gradients(
-            weights, biases, xb, yb, activation, dropout_rate, np.random.default_rng(DROPOUT_SEED),
-            as_step(head_loss, lambda s, y: s), wd,
-        )
-        return loss
-
-    fd_w = [np.zeros_like(w) for w in weights]
-    fd_b = [np.zeros_like(b) for b in biases]
-    for params, fd in ((weights, fd_w), (biases, fd_b)):
-        for layer, p in enumerate(params):
-            flat = p.reshape(-1)
-            for j in range(flat.shape[0]):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = loss_at()
-                flat[j] = orig - h
-                down = loss_at()
-                flat[j] = orig
-                fd[layer].reshape(-1)[j] = (up - down) / (2 * h)
-    return fd_w, fd_b
-
-
-def backprop_errors(weights, biases, xb, yb, activation, head_loss, head_dloss, wd, dropout_rate):
+def backprop_errors(weights, biases, xb, yb, activation, head, wd, dropout_rate, h=1e-5):
     """Max relative error of each analytic gradient against central differences."""
-    _, gw, gb = _batch_gradients(
-        weights, biases, xb, yb, activation, dropout_rate, np.random.default_rng(DROPOUT_SEED),
-        as_step(head_loss, head_dloss), wd,
-    )
-    fw, fb = fd_param_grads(weights, biases, xb, yb, activation, head_loss, wd, dropout_rate)
-    return [np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))) for a, b in zip(gw + gb, fw + fb)]
+    work = _StepWork([xb.shape[1], *(w.shape[1] for w in weights)], xb.shape[0])
+
+    def step():
+        # a fresh generator per call: every loss sees the analytic pass's masks
+        return _batch_gradients(
+            weights, biases, xb, yb, activation, dropout_rate,
+            np.random.default_rng(DROPOUT_SEED), head, wd, work,
+        )
+
+    _, gw, gb = step()
+    analytic = [g.copy() for g in (*gw, *gb)]  # views of work.grad, which each step overwrites
+    errors = []
+    for p, a in zip((*weights, *biases), analytic):
+        flat = p.reshape(-1)
+        fd = np.zeros_like(flat)
+        for j in range(flat.shape[0]):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = step()[0]
+            flat[j] = orig - h
+            down = step()[0]
+            flat[j] = orig
+            fd[j] = (up - down) / (2 * h)
+        errors.append(np.max(np.abs(a.reshape(-1) - fd)) / (1.0 + np.max(np.abs(a))))
+    return errors
 
 
 DROPOUT_SEED = 5
@@ -95,11 +78,9 @@ def test_backprop_matches_finite_differences(kind, spec, wd):
     xb = rng.normal(size=(5, 3))
     yb = rng.normal(scale=2.0, size=5)
     weights, biases = _init_params([3, 6, 5, 1], "tanh", rng)
-    head_loss, head_dloss = make_heads(kind, spec)
+    head = shipped_head(kind, spec)
     for dropout_rate in (0.0, 0.3):
-        errors = backprop_errors(
-            weights, biases, xb, yb, "tanh", head_loss, head_dloss, wd, dropout_rate
-        )
+        errors = backprop_errors(weights, biases, xb, yb, "tanh", head, wd, dropout_rate)
         assert max(errors) < 1e-4, (dropout_rate, errors)
 
 
@@ -108,11 +89,9 @@ def test_backprop_relu_away_from_kinks():
     xb = rng.normal(size=(5, 2)) + 0.5
     yb = rng.normal(size=5)
     weights, biases = _init_params([2, 3, 1], "relu", rng)
-    head_loss, head_dloss = make_heads("normal", SurrogateSpec.normal(1.0, 1.0))
+    head = shipped_head("normal", SurrogateSpec.normal(1.0, 1.0))
     for dropout_rate in (0.0, 0.3):
-        errors = backprop_errors(
-            weights, biases, xb, yb, "relu", head_loss, head_dloss, 0.0, dropout_rate
-        )
+        errors = backprop_errors(weights, biases, xb, yb, "relu", head, 0.0, dropout_rate)
         assert max(errors) < 1e-4, (dropout_rate, errors)
 
 
