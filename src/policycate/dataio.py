@@ -148,7 +148,10 @@ def load_dataset(path):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if data.shape[1] != len(header):
         raise DataError(f"{path}: expected {len(header)} fields per row, got {data.shape[1]}")
-    x = data[:, [idx[name] for name in expected]] if expected else np.ones((data.shape[0], 0))
+    # np.take's result is C-ordered (a fancy index's is not), so once sealed
+    # the Dataset shares it instead of copying it
+    x = np.take(data, [idx[name] for name in expected], axis=1)
+    x.setflags(write=False)
     tau = data[:, idx["tau_true"]] if "tau_true" in idx else None
     try:
         ds = Dataset(x=x, w=data[:, idx["w"]], y=data[:, idx["y"]], e=data[:, idx["e"]])

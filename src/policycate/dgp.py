@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,13 +55,11 @@ class ComplexDgp:
 
     noise_sd: float = 0.1
     cost: float = 1.0
-    dim: int = 10
+    dim: ClassVar[int] = 10
 
     def __post_init__(self):
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be nonnegative")
-        if self.dim != 10:
-            raise ValidationError("dim is fixed at 10")
 
     @property
     def omega(self):

@@ -1,11 +1,13 @@
 """Config-driven experiment runners behind the command-line interface.
 
 A single JSON document configures every command; unknown keys are rejected
-with dotted-path diagnostics.  Sections:
+with dotted-path diagnostics, and every number must be finite (JSON's NaN
+and Infinity are rejected; "inf" is the one spelling of an infinite sigma).
+Sections:
 
   dgp        name ("simple" | "complex"), n, seed, optional replications,
              noise_sd, cost, variance_convention (true reads the noise
-             parameter as a variance, i.e. sd = sqrt(0.1))
+             parameter as a variance, i.e. sd = sqrt(noise_sd))
   model      type ("linear" | "mlp" | "policy"), family, sigma ("inf" for
              the uniform limit), cost, design terms (linear), solver knobs
              max_iters and grad_tol (linear fit and cv), nested mlp config,
@@ -50,7 +52,8 @@ def _want_int(v):
 
 
 def _want_num(v):
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)) or v == "inf"
+    """A finite int or float; a bool is not a number here."""
+    return math.isfinite(v) if isinstance(v, float) else _want_int(v)
 
 
 def _field_error(path, msg):
@@ -65,19 +68,19 @@ def _check_field(path, value, kind):
         if not _want_int(value):
             _field_error(path, "expected an integer")
     elif kind == "num":
-        if not (_want_num(value) and value != "inf"):
+        if not _want_num(value):
             _field_error(path, "expected a number")
     elif kind == "nonneg_num":
-        if not (_want_num(value) and value != "inf" and value >= 0):
+        if not (_want_num(value) and value >= 0):
             _field_error(path, "expected a nonnegative number")
     elif kind == "pos_num":
-        if not (_want_num(value) and value != "inf" and value > 0):
+        if not (_want_num(value) and value > 0):
             _field_error(path, "expected a positive number")
     elif kind == "bool":
         if not isinstance(value, bool):
             _field_error(path, "expected a boolean")
     elif kind == "sigma":
-        if not (_want_num(value) and (value == "inf" or value > 0)):
+        if not (value == "inf" or (_want_num(value) and value > 0)):
             _field_error(path, 'expected a positive number or "inf"')
     elif kind == "sigma_list":
         if not (isinstance(value, list) and value):
@@ -96,8 +99,23 @@ def _check_field(path, value, kind):
     elif kind == "str":
         if not isinstance(value, str):
             _field_error(path, "expected a string")
+    elif isinstance(kind, dict):  # a nested object, such as an mlp block
+        _check_object(path, value, kind)
     else:  # pragma: no cover - schema authoring error
         raise AssertionError(f"unknown schema kind {kind}")
+
+
+def _check_object(path, value, schema):
+    """Check one config object against its schema; unknown fields are errors."""
+    if not isinstance(value, dict):
+        _field_error(path, "expected an object")
+    for field in schema.get("__required__", ()):
+        if field not in value:
+            _field_error(f"{path}.{field}", "required field is missing")
+    for field, item in value.items():
+        if field == "__required__" or field not in schema:
+            _field_error(f"{path}.{field}", "unknown field")
+        _check_field(f"{path}.{field}", item, schema[field])
 
 
 _MLP_FIELDS = {
@@ -130,8 +148,6 @@ CONFIG_SCHEMA = {
         "type": ("linear", "mlp", "policy"),
         "family": ("normal", "logistic", "uniform"),
         "sigma": "sigma",
-        "uniform_lo": "num",
-        "uniform_hi": "num",
         "cost": "num",
         "design": "str_list",
         "max_iters": "pos_int",
@@ -182,25 +198,7 @@ def validate_config(doc, required_sections=()):
         if section not in doc:
             raise ConfigError(f"{section}: required section is missing")
     for section, content in doc.items():
-        schema = CONFIG_SCHEMA[section]
-        if not isinstance(content, dict):
-            raise ConfigError(f"{section}: expected an object")
-        for field in schema.get("__required__", ()):
-            if field not in content:
-                raise ConfigError(f"{section}.{field}: required field is missing")
-        for field, value in content.items():
-            if field == "__required__" or field not in schema:
-                raise ConfigError(f"{section}.{field}: unknown field")
-            kind = schema[field]
-            if isinstance(kind, dict):  # nested mlp block
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{section}.{field}: expected an object")
-                for sub, subval in value.items():
-                    if sub not in kind:
-                        raise ConfigError(f"{section}.{field}.{sub}: unknown field")
-                    _check_field(f"{section}.{field}.{sub}", subval, kind[sub])
-            else:
-                _check_field(f"{section}.{field}", value, kind)
+        _check_object(section, content, CONFIG_SCHEMA[section])
     return doc
 
 
@@ -253,8 +251,9 @@ def _threshold_spec(family, cost, sigma, uniform_lo=None, uniform_hi=None):
     """The spec for a user-given family, cost and sigma.
 
     The uniform family ignores sigma and is supported on (uniform_lo,
-    uniform_hi), which default to cost -/+ 1; any other family goes through
-    ``spec_for_sigma``.
+    uniform_hi), which default to cost -/+ 1; only ``curve`` sets them, since
+    a fitted uniform model does not depend on them.  Any other family goes
+    through ``spec_for_sigma``.
     """
     if family != "uniform":
         return spec_for_sigma(family, cost, sigma)
@@ -264,11 +263,10 @@ def _threshold_spec(family, cost, sigma, uniform_lo=None, uniform_hi=None):
 
 
 def _spec_from_model_config(model):
-    # float() so that an integer bound is stored as 0.0, not 0, in model.json
-    lo, hi = (float(model[k]) if k in model else None for k in ("uniform_lo", "uniform_hi"))
-    cost = float(model.get("cost", 1.0))
     return _threshold_spec(
-        model.get("family", "normal"), cost, float(model.get("sigma", 1.0)), lo, hi
+        model.get("family", "normal"),
+        float(model.get("cost", 1.0)),
+        float(model.get("sigma", 1.0)),
     )
 
 
@@ -443,7 +441,7 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
     if eval_sample is not None:
         points = frontier_sweep(td, grid, eval_sample, fit, family, cost=cost)
         truth_path = os.path.join(out_dir, "truth_frontier.csv")
-        dataio.write_frontier_csv(truth_path, [(p.sigma, p.mse, p.profit) for p in points])
+        dataio.write_frontier_csv(truth_path, points)
         out["truth_frontier_path"] = truth_path
         out["truth_frontier"] = points
     return out
@@ -462,21 +460,31 @@ def parse_grid_spec(spec_str):
         raise ConfigError(f"bad grid spec {spec_str!r}: {exc}") from exc
     if count < 1 or not hi > lo:
         raise ConfigError("grid spec needs hi > lo and points >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("grid spec bounds must be finite")
     return np.linspace(lo, hi, count)
 
 
 def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, uniform_hi=None):
+    """One objective curve per sigma to ``curve_sigma_<label>.csv``.
+
+    The grid, the sigmas and the uniform bounds are checked, and every spec
+    is built, before the first file is written.
+    """
     grid = parse_grid_spec(grid_spec)
     if family == "uniform":  # ignores sigma, so one curve and one file
-        sigmas = sigmas[:1]
-    paths = []
-    for sigma in sigmas:
-        sigma = float(sigma)
-        spec = _threshold_spec(family, cost, sigma, uniform_lo, uniform_hi)
-        if family == "uniform":
-            label = "uniform"
-        else:
+        specs = {"uniform": _threshold_spec(family, cost, None, uniform_lo, uniform_hi)}
+    elif uniform_lo is not None or uniform_hi is not None:
+        raise ConfigError("--uniform-lo and --uniform-hi apply only to --family uniform")
+    else:
+        specs = {}  # file label -> spec
+        for sigma in map(float, sigmas):
             label = "inf" if math.isinf(sigma) else ("%g" % sigma)
+            if label in specs:
+                raise ConfigError(f"two --sigma values both write curve_sigma_{label}.csv")
+            specs[label] = _threshold_spec(family, cost, sigma)
+    paths = []
+    for label, spec in specs.items():
         rows = objective_curve(ScalarSurrogateProblem(tau0, spec), grid)
         path = os.path.join(out_dir, f"curve_sigma_{label}.csv")
         dataio.write_curve_csv(path, rows)

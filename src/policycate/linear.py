@@ -159,7 +159,11 @@ class TransformedDataset:
         return self.x.shape[1]
 
     def subset(self, idx):
-        return TransformedDataset(self.x[idx], self.y_star[idx])
+        x, y_star = self.x[idx], self.y_star[idx]
+        # sealed so that a fresh fancy-index copy is handed over, not copied again
+        x.setflags(write=False)
+        y_star.setflags(write=False)
+        return TransformedDataset(x, y_star)
 
     def with_design(self, x_design):
         return TransformedDataset(x_design, self.y_star)
@@ -255,20 +259,22 @@ class LinearFitResult:
     std_errors: Optional[np.ndarray] = None
 
 
-def surrogate_objective(theta, td: TransformedDataset, spec: sg.SurrogateSpec):
-    """Sample objective Q_n(theta): mean per-observation term at x' theta."""
+def _scores(theta, td: TransformedDataset):
+    """The linear scores ``td.x @ theta``, once theta's length matches the design."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape[0] != td.k:
         raise DimensionError("theta length does not match design width")
-    return float(np.mean(sg.loss_q(spec, td.x @ theta, td.y_star)))
+    return td.x @ theta
+
+
+def surrogate_objective(theta, td: TransformedDataset, spec: sg.SurrogateSpec):
+    """Sample objective Q_n(theta): mean per-observation term at x' theta."""
+    return float(np.mean(sg.loss_q(spec, _scores(theta, td), td.y_star)))
 
 
 def surrogate_gradient(theta, td: TransformedDataset, spec: sg.SurrogateSpec):
     """Gradient of :func:`surrogate_objective` in theta (internal scale)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != td.k:
-        raise DimensionError("theta length does not match design width")
-    scores = td.x @ theta
+    scores = _scores(theta, td)
     return td.x.T @ np.asarray(sg.dloss_dtau(spec, scores, td.y_star)) / td.n
 
 
@@ -375,12 +381,9 @@ def sandwich_covariance(theta_hat, td: TransformedDataset, spec: sg.SurrogateSpe
     this reduces exactly to the heteroskedasticity-robust least-squares
     covariance.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
     x, y_star = td.x, td.y_star
     n = x.shape[0]
-    if theta_hat.shape[0] != x.shape[1]:
-        raise DimensionError("theta length does not match design width")
-    scores = x @ theta_hat
+    scores = _scores(theta_hat, td)
     g_i = np.asarray(sg.dloss_dtau(spec, scores, y_star))
     s_i = np.asarray(sg.d2loss_dtau2(spec, scores, y_star))
     if spec.family is not sg.Family.UNIFORM:

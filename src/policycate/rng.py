@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def streams(seed, count):
-    """``count`` independent generators for ``seed``, stream ``i`` at index ``i``."""
-    root = np.random.Philox(key=int(seed))
+    """``count`` independent generators for ``seed``, stream ``i`` at index ``i``.
+
+    A seed is a Philox key, an integer in [0, 2^128); any other raises
+    :class:`ValidationError`.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must lie in [0, 2^128), got {seed}")
+    root = np.random.Philox(key=seed)
     return [np.random.Generator(root.jumped(i)) for i in range(count)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,21 +84,22 @@ class FoldScore:
     profit: float
 
 
+class FrontierPoint(NamedTuple):
+    """One grid sigma's (MSE, profit) pair; it unpacks as ``sigma, mse, profit``."""
+
+    sigma: float
+    mse: float
+    profit: float
+
+
 @dataclass(frozen=True)
 class CvResult:
-    fold_scores: tuple  # FoldScore per (sigma, fold)
-    frontier: tuple  # (sigma, mean mse proxy, mean profit) per sigma
+    fold_scores: tuple  # FoldScore per (sigma, fold), sigma-major
+    frontier: tuple  # FrontierPoint per sigma: fold means of the mse proxy and profit
     sigma_mse: float
     sigma_profit: float
     k: int
     seed: int
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    sigma: float
-    mse: float
-    profit: float
 
 
 def _fold_indices(n, k, seed):
@@ -127,26 +128,20 @@ def kfold_cv(
     """
     folds = _fold_indices(td.n, k, seed)
     splits = [(td.subset(np.setdiff1d(np.arange(td.n), f)), td.subset(f)) for f in folds]
-    scores = []
+    scores, frontier = [], []
     for sigma in grid.values:
         spec = spec_for_sigma(family, cost, sigma)
+        rows = []
         for j, (td_train, td_held) in enumerate(splits):
             preds = np.asarray(fit(td_train, spec)(td_held.x), dtype=float).ravel()
             # the squared difference is the same in either order, bit for bit
             mse_proxy = cate_mse(preds, td_held.y_star)
             profit = ipw_policy_value(td_held, policy_from_cate(preds, cost), cost)
-            scores.append(FoldScore(sigma=sigma, fold=j, mse_proxy=mse_proxy, profit=profit))
-
-    frontier = []
-    for sigma in grid.values:
-        rows = [s for s in scores if s.sigma == sigma]
-        frontier.append(
-            (
-                sigma,
-                float(np.mean([r.mse_proxy for r in rows])),
-                float(np.mean([r.profit for r in rows])),
-            )
-        )
+            rows.append(FoldScore(sigma=sigma, fold=j, mse_proxy=mse_proxy, profit=profit))
+        scores += rows
+        mean_mse = float(np.mean([r.mse_proxy for r in rows]))
+        mean_profit = float(np.mean([r.profit for r in rows]))
+        frontier.append(FrontierPoint(sigma, mean_mse, mean_profit))
     sigma_mse = sigma_profit = grid.values[0]
     best_mse, best_profit = math.inf, -math.inf
     for sigma, mse, profit in frontier:

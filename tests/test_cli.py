@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,64 @@ def test_config_unknown_key_rejected(tmp_path):
     doc["dgp"]["typo_field"] = 1
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# JSON's NaN and Infinity parse as floats; a config number must be finite
+NON_FINITE_NUMBERS = [
+    ("dgp", "cost", math.nan, "dgp.cost: expected a number"),
+    ("dgp", "noise_sd", math.inf, "dgp.noise_sd: expected a nonnegative number"),
+    ("model", "sigma", math.inf, 'model.sigma: expected a positive number or "inf"'),
+    ("mlp", "learning_rate", math.inf, "model.mlp.learning_rate: expected a positive number"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    NON_FINITE_NUMBERS,
+    ids=[f"{s}.{f}={v}" for s, f, v, _ in NON_FINITE_NUMBERS],
+)
+def test_non_finite_config_number_exits_2(tmp_path, capsys, section, field, value, message):
+    doc = base_config()
+    if section == "mlp":
+        doc["model"] = {"type": "mlp", "mlp": {field: value}}
+    else:
+        doc[section][field] = value
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--model", "mail", "--config", cfg, "--out", str(out)]) == 2
+    if section != "dgp":  # evaluate does not read the model section
+        assert main(["fit", "--data", "d.csv", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Philox keys lie in [0, 2^128); every seed a command reads is one
+SEEDS_OUT_OF_RANGE = [
+    ("simulate", {"dgp": {"seed": -1}}, []),
+    ("simulate", {}, ["--seed", "-1"]),
+    ("evaluate", {"evaluation": {"seed": 2**128}}, ["--model", "mail"]),
+    ("table2", {"table2": {"train_seed": 2**128}}, []),
+    ("table2", {}, ["--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, args",
+    SEEDS_OUT_OF_RANGE,
+    ids=["dgp.seed", "simulate--seed", "evaluation.seed", "table2.train_seed", "table2--seed"],
+)
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command, overrides, args):
+    doc = base_config()
+    for section, fields in overrides.items():
+        doc.setdefault(section, {}).update(fields)
+    if command == "table2":
+        del doc["dgp"]
+        doc.setdefault("table2", {}).update(replications=1, train_n=300, eval_n=2000)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *args]) == 2
+    assert "seed must lie in [0, 2^128)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # arbitrary JSON, and documents shaped like a config (each section an object
@@ -473,6 +532,27 @@ def test_curve_requires_out(tmp_path):
     assert main(["curve", "--tau0", "2", "--cost", "1", "--family", "normal"]) == 2
 
 
+CURVE_INPUTS_IT_CANNOT_HONOUR = [
+    (["--sigma", "1", "--sigma", "1.0000001"], "both write curve_sigma_1.csv"),
+    (["--grid=-inf:5:5"], "grid spec bounds must be finite"),
+    (["--uniform-lo", "0"], "--uniform-lo and --uniform-hi apply only to --family uniform"),
+    (["--family", "logistic", "--uniform-hi", "3"], "apply only to --family uniform"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    CURVE_INPUTS_IT_CANNOT_HONOUR,
+    ids=["repeated-label", "infinite-grid", "uniform-lo-normal", "uniform-hi-logistic"],
+)
+def test_curve_rejects_input_it_cannot_honour(tmp_path, capsys, args, message):
+    out = tmp_path / "curve"
+    argv = ["curve", "--tau0", "2", "--cost", "1", "--family", "normal", *args, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # each subcommand's required arguments, and a value for each override flag
 REQUIRED_ARGS = {
     "simulate": [],
@@ -664,7 +744,10 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 # linear fit of the base config and a cv --eval-data run on the same draw
 # (recorded before the CV folds were split once per fold and the OLS start
 # lost its separate rank test) pin the linear solver, the CV loop and the
-# frontier sweep.
+# frontier sweep.  A uniform linear fit and a complex draw (recorded before
+# the uniform support left the model config and the complex generator's
+# width became a class constant) pin the default uniform model.json and the
+# complex draws.
 # Unlike the other files the networks depend on matrix products: they are
 # too small for a BLAS thread split, but a BLAS build that sums in another
 # order, or a numpy whose tanh kernel for this CPU rounds differently, would
@@ -683,10 +766,12 @@ GOLDEN_OUTPUT_SHA256 = {
     "fit_policy/training_log.csv": "466e3d44cfecbab58b2bbe4fe9b513a017fd2affb9c38e6a00b90e3533af8b0f",
     "fit_tanh/model.json": "d2f2aad4f2bd8dfe2c2e4c6c6adea9675200198fef01e57a9b6a4679380e49d7",
     "fit_tanh/training_log.csv": "e970c659e9771cfa3999735fbad0cc582130d2bfd7d1a1d821e3ae82cd694425",
+    "fit_uniform/model.json": "6c28fab4e5139ee287ad2200d19e8a221cf7ccea49d1f704574f9be41b0f05ae",
     "mail.csv": "123103a73c37ed0fb0061fc812a6adfe4e7819a82df77c463c95bf2e52df9ee9",
     "mail_rounds.csv": "abe887e70ffdebf0e00b6fb528719e63681257df8e940f2fc85b81cda9b78a8e",
     "oracle.csv": "27a22a96c7e53c2ec81367a4ff70067a934434a4a6a5d0be7eb7354ae29eb840",
     "oracle_rounds.csv": "b71ba39e7179b02820c05ff7781b6a9af126a8145d9ff72181806636822ba3e3",
+    "sim/complex_rep000_seed7.csv": "3143ed318f4c217cbd92c984204d72c7b1052fa2bf5009620d81a58450ce2196",
     "sim/simple_rep000_seed7.csv": "42cc14588c73ee7b553cb398a3f0d84308242554602431f9befc9ea9543d82df",
 }
 
@@ -715,6 +800,11 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
             "mlp": {**net, "activation": "tanh"},
         },
     }
+    models = {f"fit_{kind}": model for kind, model in nets.items()}
+    models["fit_uniform"] = dict(doc["model"], family="uniform")
+    complex_cfg = write_config(
+        tmp_path / "cfg_complex.json", dict(doc, dgp=dict(doc["dgp"], name="complex"))
+    )
     out = tmp_path / "out"
     data = str(out / "sim" / "simple_rep000_seed7.csv")
     commands = [
@@ -729,11 +819,12 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--replications", "2"],
         ["fit", "--data", data, "--config", cfg, "--out", str(out / "fit_linear")],
         ["cv", "--data", data, "--config", cfg, "--out", str(out / "cv"), "--eval-data", data],
+        ["simulate", "--config", complex_cfg, "--out", str(out / "sim"), "--with-oracle"],
     ] + [
         ["fit", "--data", data, "--config",
-         write_config(tmp_path / f"cfg_{kind}.json", dict(doc, model=model)),
-         "--out", str(out / f"fit_{kind}")]
-        for kind, model in nets.items()
+         write_config(tmp_path / f"cfg_{name}.json", dict(doc, model=model)),
+         "--out", str(out / name)]
+        for name, model in models.items()
     ]
     for argv in commands:
         assert main(argv) == 0

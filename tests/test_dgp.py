@@ -119,8 +119,6 @@ def test_validation_errors():
         gen_simple(SimpleDgp(), 0, seed=1)
     with pytest.raises(ValidationError):
         SimpleDgp(noise_sd=-1.0)
-    with pytest.raises(ValidationError):
-        ComplexDgp(dim=5)
     s = gen_simple(SimpleDgp(), 10, seed=1)
     with pytest.raises(ValidationError):
         LabeledSample(dataset=s.dataset, tau_true=np.ones(3))

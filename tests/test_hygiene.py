@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -108,3 +109,12 @@ def test_simulate_and_evaluate_ols_leave_scipy_special_unloaded(tmp_path):
         code = f"from policycate.cli import main\nassert main({argv!r}) == 0"
         assert loaded_after(code, ["scipy.special", "scipy.optimize"]) == [], argv
     assert (tmp_path / "ols.csv").is_file()
+
+
+def test_config_field_lists_match_what_they_configure():
+    from policycate import experiments
+    from policycate.mlp import MlpConfig
+
+    assert set(experiments._MLP_FIELDS) == {f.name for f in dataclasses.fields(MlpConfig)}
+    table2 = set(experiments.CONFIG_SCHEMA["table2"]) - {"__required__"}
+    assert table2 == set(experiments.TABLE2_DEFAULTS)

@@ -15,6 +15,7 @@ import numpy as np
 from policycate import dataio
 from policycate.dgp import ComplexDgp, gen_complex
 from policycate.evaluation import qini_coefficient
+from policycate.linear import TransformedDataset
 
 MiB = 2**20
 
@@ -37,6 +38,18 @@ def test_a_draw_holds_its_sample_once():
     s = samples[0]
     held = sum(a.nbytes for a in (s.dataset.x, s.dataset.w, s.dataset.y, s.dataset.e, s.tau_true))
     assert peak <= 1.5 * held  # (2.0x when the dataset copied the covariates)
+
+
+def test_a_subset_holds_its_rows_once():
+    # kfold_cv takes each fold's rows this way
+    rng = np.random.default_rng(5)
+    x, y_star = rng.normal(size=(100_000, 10)), rng.normal(size=100_000)
+    td = TransformedDataset(x, y_star)
+    idx = np.sort(rng.permutation(100_000)[:80_000])
+    subsets = []
+    peak = traced_peak(lambda: subsets.append(td.subset(idx)))
+    held = subsets[0].x.nbytes + subsets[0].y_star.nbytes
+    assert peak <= 1.25 * held  # (2.0x when the subset copied its rows twice)
 
 
 def test_loaded_linear_model_scores_in_blocks(tmp_path):
@@ -69,3 +82,11 @@ def test_dataset_loader_streams_its_rows(tmp_path):
     dataio.save_dataset(path, s.dataset, s.tau_true)  # an 18.6 MB file
     peak = traced_peak(lambda: dataio.load_dataset(path))
     assert peak < 40 * MiB  # (53.6 MiB with every line of the file in a list)
+
+
+def test_a_loaded_dataset_holds_its_covariates_once(tmp_path):
+    s = gen_complex(ComplexDgp(), 50_000, seed=4)
+    path = tmp_path / "d.csv"
+    dataio.save_dataset(path, s.dataset, s.tau_true)
+    peak = traced_peak(lambda: dataio.load_dataset(path))
+    assert peak < 13 * MiB  # (15.3 MiB when the dataset copied its covariates again)
