@@ -149,10 +149,13 @@ def load_dataset(path):
     if data.shape[1] != len(header):
         raise DataError(f"{path}: expected {len(header)} fields per row, got {data.shape[1]}")
     # np.take's result is C-ordered (a fancy index's is not), so once sealed
-    # the Dataset shares it instead of copying it
+    # the Dataset shares it instead of copying it; tau_true is taken the same
+    # way, so holding it does not keep the whole parsed table alive
     x = np.take(data, [idx[name] for name in expected], axis=1)
     x.setflags(write=False)
-    tau = data[:, idx["tau_true"]] if "tau_true" in idx else None
+    tau = np.take(data, idx["tau_true"], axis=1) if "tau_true" in idx else None
+    if tau is not None:
+        tau.setflags(write=False)
     try:
         ds = Dataset(x=x, w=data[:, idx["w"]], y=data[:, idx["y"]], e=data[:, idx["e"]])
         if tau is not None and not np.all(np.isfinite(tau)):

@@ -5,12 +5,18 @@ quadratic ``-x^2 + 2x + 1`` (single decision threshold at x = 0 when the
 cost is 1), and a ten-covariate design whose effect is a sine of the
 averaged index, giving several decision cutoffs.
 
+Both are drawn by one routine, ``generate`` (also named ``gen_simple`` and
+``gen_complex``).  It reads the generator's width ``dim`` (1 or 10) and
+its outcome rule ``outcome(x, effect)``, which adds the untreated mean
+``1 + x`` (simple) or nothing (complex) to ``effect = w * tau``; the noise
+is added last.
+
 Randomness comes from ``policycate.rng.streams(seed, 3)``, one stream per
 variable: covariates x at index 0, assignments w at 1, noise at 2.  Adding
 a column or changing one stream never perturbs the others.  Identical
 (config, n, seed) always yields bitwise identical samples.
 
-A generator seals every array it draws (``setflags(write=False)``) before
+The routine seals every array it draws (``setflags(write=False)``) before
 building the ``Dataset``, which then shares them instead of copying them
 (see ``policycate.linear.read_only``): a 1e6-row complex draw holds its
 80 MB covariate matrix once.
@@ -30,36 +36,43 @@ from .linear import Dataset, read_only
 
 
 @dataclass(frozen=True)
-class SimpleDgp:
-    """y = 1 + x + w * tau0(x) + eps with tau0(x) = -x^2 + 2x + 1, x ~ U(-1, 2)."""
+class _Dgp:
+    """Noise scale and treatment cost, the fields every generator shares."""
 
     noise_sd: float = 0.1
     cost: float = 1.0
+    dim: ClassVar[int]
 
     def __post_init__(self):
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be nonnegative")
 
+    def outcome(self, x, effect):
+        """The noise-free outcome of rows ``x`` given ``effect = w * tau``; no untreated mean."""
+        return effect
+
+
+class SimpleDgp(_Dgp):
+    """y = 1 + x + w * tau0(x) + eps with tau0(x) = -x^2 + 2x + 1, x ~ U(-1, 2)."""
+
+    dim = 1
+
     def tau(self, x):
         x = np.asarray(x, dtype=float)
         return -np.square(x) + 2.0 * x + 1.0
 
+    def outcome(self, x, effect):
+        return 1.0 + x.reshape(effect.shape) + effect
 
-@dataclass(frozen=True)
-class ComplexDgp:
+
+class ComplexDgp(_Dgp):
     """y = w * tau0(x) + eps with tau0(x) = z sin(2.3 z) + 1.3, z the scaled mean index.
 
     Ten i.i.d. U(-1, 2) covariates; the index weights are (1, ..., 1)/sqrt(10),
     a unit vector.
     """
 
-    noise_sd: float = 0.1
-    cost: float = 1.0
-    dim: ClassVar[int] = 10
-
-    def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ValidationError("noise_sd must be nonnegative")
+    dim = 10
 
     @property
     def omega(self):
@@ -69,11 +82,6 @@ class ComplexDgp:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = x @ self.omega
         return z * np.sin(2.3 * z) + 1.3
-
-
-def _sealed(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -95,34 +103,24 @@ class LabeledSample:
         object.__setattr__(self, "tau_true", read_only(tau))
 
 
-def gen_simple(dgp: SimpleDgp, n: int, seed: int) -> LabeledSample:
+def generate(dgp: SimpleDgp | ComplexDgp, n: int, seed: int) -> LabeledSample:
+    """``n`` rows of ``dgp``'s experiment: x ~ U(-1, 2)^dim, w ~ Bernoulli(1/2)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     rng_x, rng_w, rng_e = rng.streams(seed, 3)
-    x = rng_x.uniform(-1.0, 2.0, size=n)
-    w = (rng_w.random(n) < 0.5).astype(float)
-    eps = rng_e.normal(0.0, dgp.noise_sd, size=n) if dgp.noise_sd > 0 else np.zeros(n)
-    tau = dgp.tau(x)
-    y = 1.0 + x + w * tau + eps
-    e = np.full(n, 0.5)
-    _sealed(x, w, y, e, tau)
-    ds = Dataset(x=x[:, None], w=w, y=y, e=e)
-    return LabeledSample(dataset=ds, tau_true=tau)
-
-
-def gen_complex(dgp: ComplexDgp, n: int, seed: int) -> LabeledSample:
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    rng_x, rng_w, rng_e = rng.streams(seed, 3)
+    # an (n, 1) draw holds the same values in the same order as a length-n one
     x = rng_x.uniform(-1.0, 2.0, size=(n, dgp.dim))
     w = (rng_w.random(n) < 0.5).astype(float)
     eps = rng_e.normal(0.0, dgp.noise_sd, size=n) if dgp.noise_sd > 0 else np.zeros(n)
-    tau = dgp.tau(x)
-    y = w * tau + eps
+    tau = dgp.tau(x)  # (n, 1) for the simple generator, hence the (n,) view below
+    y = dgp.outcome(x, w * tau.reshape(n)) + eps
     e = np.full(n, 0.5)
-    _sealed(x, w, y, e, tau)
-    ds = Dataset(x=x, w=w, y=y, e=e)
-    return LabeledSample(dataset=ds, tau_true=tau)
+    for a in (x, w, y, e, tau):
+        a.setflags(write=False)
+    return LabeledSample(dataset=Dataset(x=x, w=w, y=y, e=e), tau_true=tau)
+
+
+gen_simple = gen_complex = generate
 
 
 def oracle_policy_value(sample: LabeledSample, policy, c: float) -> float:

@@ -20,6 +20,7 @@ Sections:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -27,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import dataio
-from .dgp import ComplexDgp, LabeledSample, SimpleDgp, gen_complex, gen_simple
+from . import dataio, rng
+from .dgp import ComplexDgp, LabeledSample, SimpleDgp, generate
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_model
 from .linear import LinearFitConfig, build_design, fit_linear, transform_outcomes
@@ -42,7 +43,7 @@ from .selection import (
     mlp_fit_function,
     spec_for_sigma,
 )
-from .surrogate import ScalarSurrogateProblem, SurrogateSpec, objective_curve
+from .surrogate import ScalarSurrogateProblem, objective_curve
 
 # ------------------------------------------------------------- config schema
 
@@ -203,20 +204,13 @@ def validate_config(doc, required_sections=()):
 
 
 def _dgp_from_config(cfg):
+    """The ``dgp`` section's generator; a field the section omits keeps its default."""
     section = cfg["dgp"]
-    noise_sd = float(section.get("noise_sd", 0.1))
+    make = SimpleDgp if section["name"] == "simple" else ComplexDgp
+    dgp = make(**{k: float(section[k]) for k in ("noise_sd", "cost") if k in section})
     if section.get("variance_convention", False):
-        noise_sd = math.sqrt(noise_sd)
-    cost = float(section.get("cost", 1.0))
-    if section["name"] == "simple":
-        return SimpleDgp(noise_sd=noise_sd, cost=cost)
-    return ComplexDgp(noise_sd=noise_sd, cost=cost)
-
-
-def _generate(dgp, n, seed):
-    if isinstance(dgp, SimpleDgp):
-        return gen_simple(dgp, n, seed)
-    return gen_complex(dgp, n, seed)
+        dgp = dataclasses.replace(dgp, noise_sd=math.sqrt(dgp.noise_sd))
+    return dgp
 
 
 def _mlp_config(doc, seed_default=0):
@@ -247,23 +241,8 @@ def _mean_sd(reports):
     return stats
 
 
-def _threshold_spec(family, cost, sigma, uniform_lo=None, uniform_hi=None):
-    """The spec for a user-given family, cost and sigma.
-
-    The uniform family ignores sigma and is supported on (uniform_lo,
-    uniform_hi), which default to cost -/+ 1; only ``curve`` sets them, since
-    a fitted uniform model does not depend on them.  Any other family goes
-    through ``spec_for_sigma``.
-    """
-    if family != "uniform":
-        return spec_for_sigma(family, cost, sigma)
-    lo = cost - 1.0 if uniform_lo is None else uniform_lo
-    hi = cost + 1.0 if uniform_hi is None else uniform_hi
-    return SurrogateSpec.uniform(lo, hi, cost=cost)
-
-
 def _spec_from_model_config(model):
-    return _threshold_spec(
+    return spec_for_sigma(
         model.get("family", "normal"),
         float(model.get("cost", 1.0)),
         float(model.get("sigma", 1.0)),
@@ -280,10 +259,14 @@ def run_simulate(cfg, out_dir, with_oracle=False, replications=None, seed=None):
     reps = int(replications if replications is not None else section.get("replications", 1))
     base_seed = int(seed if seed is not None else section["seed"])
     n = section["n"]
+    # the seeds are consecutive, so checking both ends before the first draw
+    # checks them all and a bad one leaves no files behind
+    rng.streams(base_seed, 0)
+    rng.streams(base_seed + reps - 1, 0)
     paths = []
     for r in range(reps):
         rep_seed = base_seed + r
-        sample = _generate(dgp, n, rep_seed)
+        sample = generate(dgp, n, rep_seed)
         path = os.path.join(out_dir, f"{section['name']}_rep{r:03d}_seed{rep_seed}.csv")
         dataio.save_dataset(path, sample.dataset, sample.tau_true if with_oracle else None)
         paths.append(path)
@@ -312,9 +295,8 @@ def run_fit(data_path, cfg, out_dir):
     if model_cfg["type"] == "mlp":
         model = train_surrogate_mlp(td, spec, mlp_cfg, log_train_objective=True)
     else:
-        policy_cfg = DirectPolicyConfig(
-            mlp=mlp_cfg, temperature=float(model_cfg.get("temperature", 0.1))
-        )
+        temperature = {k: float(model_cfg[k]) for k in ("temperature",) if k in model_cfg}
+        policy_cfg = DirectPolicyConfig(mlp=mlp_cfg, **temperature)
         model = train_direct_policy(td, spec.cost, policy_cfg, log_train_objective=True)
     dataio.save_mlp_model(model_path, model)
     log_path = os.path.join(out_dir, "training_log.csv")
@@ -345,7 +327,7 @@ def _training_draw(dgp, n, seed):
     ``lin_fit`` fits the draw's default linear design; ``ols`` is its
     least-squares fit (the uniform threshold limit), a raw-row predictor.
     """
-    sample = _generate(dgp, n, seed)
+    sample = generate(dgp, n, seed)
     td = transform_outcomes(sample.dataset)
     lin_fit = linear_fit_function(_default_design(sample.dataset.k))
     return td, lin_fit, lin_fit(td, spec_for_sigma("normal", dgp.cost, math.inf))
@@ -356,14 +338,16 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
 
     Replication r (0-based) scores on the draw with seed
     ``evaluation.seed + r``, whatever the model tag; the ``ols`` tag also
-    refits on the training draw with seed ``dgp.seed + r``.  One replication
+    refits on the training draw with seed ``dgp.seed + r``.  A saved policy
+    network is scored by its own rule, treat when its score is at least 0,
+    through ``_policy_score``, as ``table2`` scores it.  One replication
     writes one report row to ``out_path``; several write every round to
     ``<out_path stem>_rounds.csv`` and their mean/SD to ``out_path``.
     """
     validate_config(cfg, required_sections=("dgp", "evaluation"))
     dgp = _dgp_from_config(cfg)
     eval_n = cfg["evaluation"]["n"]
-    eval_seed = int(cfg["evaluation"].get("seed", 990_000))
+    eval_seed = int(cfg["evaluation"].get("seed", TABLE2_DEFAULTS["eval_seed"]))
     reps = int(replications) if replications else 1
     cost = dgp.cost
 
@@ -375,13 +359,15 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
     else:
         loaded = dataio.load_model(model_arg)
         predictor, is_cate = loaded.predict, loaded.is_cate
+        if not is_cate:
+            predictor = functools.partial(_policy_score, predictor, cost)
         tag = os.path.splitext(os.path.basename(model_arg))[0]
 
     reports = []
     for r in range(reps):
         if model_arg == "ols":
             *_, predictor = _training_draw(dgp, cfg["dgp"]["n"], int(cfg["dgp"]["seed"]) + r)
-        sample = _generate(dgp, eval_n, eval_seed + r)
+        sample = generate(dgp, eval_n, eval_seed + r)
         report = evaluate_model(predictor, sample, cost, is_cate, model_tag=tag)
         reports.append(report)
 
@@ -473,7 +459,7 @@ def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, u
     """
     grid = parse_grid_spec(grid_spec)
     if family == "uniform":  # ignores sigma, so one curve and one file
-        specs = {"uniform": _threshold_spec(family, cost, None, uniform_lo, uniform_hi)}
+        specs = {"uniform": spec_for_sigma(family, cost, math.inf, uniform_lo, uniform_hi)}
     elif uniform_lo is not None or uniform_hi is not None:
         raise ConfigError("--uniform-lo and --uniform-hi apply only to --family uniform")
     else:
@@ -482,7 +468,7 @@ def run_curve(tau0, cost, family, sigmas, grid_spec, out_dir, uniform_lo=None, u
             label = "inf" if math.isinf(sigma) else ("%g" % sigma)
             if label in specs:
                 raise ConfigError(f"two --sigma values both write curve_sigma_{label}.csv")
-            specs[label] = _threshold_spec(family, cost, sigma)
+            specs[label] = spec_for_sigma(family, cost, sigma)
     paths = []
     for label, spec in specs.items():
         rows = objective_curve(ScalarSurrogateProblem(tau0, spec), grid)
@@ -532,28 +518,22 @@ TABLE2_MODEL_ORDER = (
 
 
 def _table2_params(cfg):
-    params = dict(TABLE2_DEFAULTS)
-    params["mlp"] = dict(TABLE2_DEFAULTS["mlp"])
+    """``TABLE2_DEFAULTS`` overridden by the ``table2`` section, and the generator."""
     user = cfg.get("table2", {})
-    for key, value in user.items():
-        if key == "mlp":
-            params["mlp"].update(value)
-        else:
-            params[key] = value
+    params = {**TABLE2_DEFAULTS, **user, "mlp": {**TABLE2_DEFAULTS["mlp"], **user.get("mlp", {})}}
     params["linear_grid"] = SigmaGrid(tuple(params["linear_grid"]))
     params["mlp_grid"] = SigmaGrid(tuple(params["mlp_grid"]))
-    dgp_cfg = {"dgp": cfg["dgp"]} if "dgp" in cfg else None
-    if dgp_cfg is not None and cfg["dgp"]["name"] != "complex":
+    dgp = _dgp_from_config(cfg) if "dgp" in cfg else ComplexDgp()
+    if not isinstance(dgp, ComplexDgp):
         raise ConfigError("dgp.name: the benchmark table uses the complex generator")
-    dgp = _dgp_from_config(dgp_cfg) if dgp_cfg else ComplexDgp()
     return params, dgp
 
 
-def _policy_score(model, cost, x):
-    # the policy score thresholds at zero; shifting by the cost lets the
-    # generic 1{score >= cost} rule reproduce its decisions (ranking and
-    # hence the ranking metric are shift-invariant)
-    return predict_mlp(model, x) + cost
+def _policy_score(predict, cost, x):
+    # a policy head treats where its score is at least 0; shifting by the cost
+    # lets the generic 1{score >= cost} rule reproduce its decisions (ranking,
+    # and hence the ranking metric, is shift-invariant)
+    return predict(x) + cost
 
 
 def _table2_fit_rep(args):
@@ -585,7 +565,8 @@ def _table2_fit_rep(args):
     # direct policy network
     policy_cfg = DirectPolicyConfig(mlp=mlp_cfg, temperature=params["policy_temperature"])
     policy = train_direct_policy(td, cost, policy_cfg)
-    models.append(("policy_mlp", None, functools.partial(_policy_score, policy, cost), False))
+    predict = functools.partial(predict_mlp, policy)
+    models.append(("policy_mlp", None, functools.partial(_policy_score, predict, cost), False))
     return rep, models, selected
 
 
@@ -601,7 +582,7 @@ def run_table2(cfg, out_dir, jobs=1):
     """
     validate_config(cfg)
     params, dgp = _table2_params(cfg)
-    eval_sample = _generate(dgp, params["eval_n"], params["eval_seed"])
+    eval_sample = generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
 
     rep_args = [(rep, params, dgp) for rep in range(params["replications"])]

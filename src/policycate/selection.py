@@ -65,14 +65,17 @@ class SigmaGrid:
         object.__setattr__(self, "values", vals)
 
 
-def spec_for_sigma(family, cost: float, sigma: float) -> SurrogateSpec:
-    """Spec at one grid point; ``inf`` maps to the uniform family.
+def spec_for_sigma(family, cost, sigma, uniform_lo=None, uniform_hi=None) -> SurrogateSpec:
+    """Spec at one grid point; ``inf`` and the uniform family give the uniform spec.
 
-    The uniform support is centered on the cost; fitted models do not
-    depend on it.
+    The uniform spec ignores sigma.  Its support (``uniform_lo``,
+    ``uniform_hi``) defaults to cost -/+ 1; fitted models do not depend on
+    it, so only ``curve`` sets it.
     """
-    if math.isinf(sigma):
-        return SurrogateSpec.uniform(cost - 1.0, cost + 1.0, cost=cost)
+    if family == "uniform" or math.isinf(sigma):
+        lo = cost - 1.0 if uniform_lo is None else uniform_lo
+        hi = cost + 1.0 if uniform_hi is None else uniform_hi
+        return SurrogateSpec.uniform(lo, hi, cost=cost)
     return SurrogateSpec(Family(family), cost, sigma)
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from policycate import dataio, experiments, linear
 from policycate.cli import main
+from policycate.dgp import generate
 from policycate.errors import ConfigError
+from policycate.evaluation import evaluate_model
 from policycate.linear import ols_solution
+from policycate.mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy
 
 
 def write_config(path, doc):
@@ -105,10 +109,13 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, section, field, valu
     assert not out.exists()
 
 
-# Philox keys lie in [0, 2^128); every seed a command reads is one
+# Philox keys lie in [0, 2^128); every seed a command reads is one.  The
+# third replication of a simulate run from 2^128 - 2 is out of range, and
+# the first two draws must not be written before that is found.
 SEEDS_OUT_OF_RANGE = [
     ("simulate", {"dgp": {"seed": -1}}, []),
     ("simulate", {}, ["--seed", "-1"]),
+    ("simulate", {"dgp": {"seed": 2**128 - 2}}, ["--replications", "3"]),
     ("evaluate", {"evaluation": {"seed": 2**128}}, ["--model", "mail"]),
     ("table2", {"table2": {"train_seed": 2**128}}, []),
     ("table2", {}, ["--seed", "-1"]),
@@ -118,7 +125,14 @@ SEEDS_OUT_OF_RANGE = [
 @pytest.mark.parametrize(
     "command, overrides, args",
     SEEDS_OUT_OF_RANGE,
-    ids=["dgp.seed", "simulate--seed", "evaluation.seed", "table2.train_seed", "table2--seed"],
+    ids=[
+        "dgp.seed",
+        "simulate--seed",
+        "simulate-last-replication",
+        "evaluation.seed",
+        "table2.train_seed",
+        "table2--seed",
+    ],
 )
 def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command, overrides, args):
     doc = base_config()
@@ -296,19 +310,41 @@ def test_evaluate_replications_summary(tmp_path):
 @pytest.mark.parametrize("model", ["ols", "oracle"])
 def test_evaluate_replication_r_scores_on_eval_seed_plus_r(tmp_path, monkeypatch, model):
     eval_seeds = []
-    generate = experiments._generate
+    generate = experiments.generate
 
     def recording_generate(dgp, n, seed):
         if n == 5000:  # the evaluation draw; training draws have dgp.n = 400 rows
             eval_seeds.append(seed)
         return generate(dgp, n, seed)
 
-    monkeypatch.setattr(experiments, "_generate", recording_generate)
+    monkeypatch.setattr(experiments, "generate", recording_generate)
     cfg = write_config(tmp_path / "cfg.json", base_config())
     out = tmp_path / "summary.csv"
     args = ["evaluate", "--model", model, "--config", cfg, "--out", str(out)]
     assert main(args + ["--replications", "3"]) == 0
     assert eval_seeds == [99, 100, 101]
+
+
+def test_evaluate_scores_a_saved_policy_network_by_its_own_rule(tmp_path):
+    # a policy head treats where its score is at least 0, not at least the
+    # cost; evaluate scores the reloaded network as table2 scores the one in
+    # memory, through _policy_score, bit for bit
+    doc = base_config()
+    dgp = experiments._dgp_from_config(doc)
+    td = linear.transform_outcomes(generate(dgp, 400, seed=7).dataset)
+    net = MlpConfig(hidden_sizes=(5,), max_epochs=20, early_stop_patience=5, seed=3)
+    model = train_direct_policy(td, dgp.cost, DirectPolicyConfig(mlp=net))
+    path = tmp_path / "policy.json"
+    dataio.save_mlp_model(path, model)
+    reports = experiments.run_evaluate(doc, str(path), str(tmp_path / "eval.csv"))
+
+    sample = generate(dgp, 5000, seed=99)
+    predict = functools.partial(predict_mlp, model)
+    score = functools.partial(experiments._policy_score, predict, dgp.cost)
+    want = evaluate_model(score, sample, dgp.cost, False, model_tag="policy")
+    assert reports == [want]
+    # the two rules treat different units here, so the check can tell them apart
+    assert want.profit != evaluate_model(predict, sample, dgp.cost, False).profit
 
 
 def test_evaluate_loads_a_saved_model_once(tmp_path, monkeypatch):
@@ -747,7 +783,10 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 # frontier sweep.  A uniform linear fit and a complex draw (recorded before
 # the uniform support left the model config and the complex generator's
 # width became a class constant) pin the default uniform model.json and the
-# complex draws.
+# complex draws.  Two replications of the ols tag and a uniform curve with
+# its own support (recorded before the two generators became one routine and
+# every threshold spec came from spec_for_sigma) pin the refit-per-replication
+# path, the sigma = inf spec and the curve's uniform bounds.
 # Unlike the other files the networks depend on matrix products: they are
 # too small for a BLAS thread split, but a BLAS build that sums in another
 # order, or a numpy whose tanh kernel for this CPU rounds differently, would
@@ -756,6 +795,7 @@ GOLDEN_OUTPUT_SHA256 = {
     "curve/curve_sigma_0.5.csv": "c88321c44dfc8edd8f07b950e36e0246eb0d41fd548e3f20316138a85d39e2b8",
     "curve/curve_sigma_inf.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
     "curve/curve_sigma_uniform.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
+    "curve_bounds/curve_sigma_uniform.csv": "475f323913bfbe2793127506ea78045326694b74cd63f27ef838a14101ec87c4",
     "cv/cv_result.json": "fafc0aa2690bda5dbb6f6c88d04302955caaff023f94fefca3f21eea2f62fcae",
     "cv/frontier.csv": "2b3776e29aa631ca0a1792797f983fdf76efda099e3e80d247348c39adec0b74",
     "cv/truth_frontier.csv": "43e6b11599e86555263cd72cf80b4330c292c01787c4757e21d379d7767b9527",
@@ -769,6 +809,8 @@ GOLDEN_OUTPUT_SHA256 = {
     "fit_uniform/model.json": "6c28fab4e5139ee287ad2200d19e8a221cf7ccea49d1f704574f9be41b0f05ae",
     "mail.csv": "123103a73c37ed0fb0061fc812a6adfe4e7819a82df77c463c95bf2e52df9ee9",
     "mail_rounds.csv": "abe887e70ffdebf0e00b6fb528719e63681257df8e940f2fc85b81cda9b78a8e",
+    "ols.csv": "851bacfedbf93912944199cc7faf374a6f5133cb72c68df6c332ea70a88e74aa",
+    "ols_rounds.csv": "88153bb2476e27d027d97572f0dfabfb8d0ac6cc83a089e25ad2d24e5a6fc745",
     "oracle.csv": "27a22a96c7e53c2ec81367a4ff70067a934434a4a6a5d0be7eb7354ae29eb840",
     "oracle_rounds.csv": "b71ba39e7179b02820c05ff7781b6a9af126a8145d9ff72181806636822ba3e3",
     "sim/complex_rep000_seed7.csv": "3143ed318f4c217cbd92c984204d72c7b1052fa2bf5009620d81a58450ce2196",
@@ -817,6 +859,10 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--replications", "2"],
         ["evaluate", "--model", "oracle", "--config", cfg, "--out", str(out / "oracle.csv"),
          "--replications", "2"],
+        ["evaluate", "--model", "ols", "--config", cfg, "--out", str(out / "ols.csv"),
+         "--replications", "2"],
+        ["curve", "--tau0", "2", "--cost", "1", "--family", "uniform", "--uniform-lo=-1",
+         "--uniform-hi", "4", "--grid=-3:5:17", "--out", str(out / "curve_bounds")],
         ["fit", "--data", data, "--config", cfg, "--out", str(out / "fit_linear")],
         ["cv", "--data", data, "--config", cfg, "--out", str(out / "cv"), "--eval-data", data],
         ["simulate", "--config", complex_cfg, "--out", str(out / "sim"), "--with-oracle"],

@@ -124,7 +124,12 @@ def test_validation_errors():
         LabeledSample(dataset=s.dataset, tau_true=np.ones(3))
 
 
-@pytest.mark.parametrize("generate, dgp", [(gen_simple, SimpleDgp()), (gen_complex, ComplexDgp())])
+# gen_simple and gen_complex are one routine, so the ids name them explicitly
+@pytest.mark.parametrize(
+    "generate, dgp",
+    [(gen_simple, SimpleDgp()), (gen_complex, ComplexDgp())],
+    ids=["gen_simple-dgp0", "gen_complex-dgp1"],
+)
 def test_a_draw_is_sealed_and_held_once(generate, dgp):
     s = generate(dgp, 50, seed=5)
     ds = s.dataset

@@ -90,3 +90,18 @@ def test_a_loaded_dataset_holds_its_covariates_once(tmp_path):
     dataio.save_dataset(path, s.dataset, s.tau_true)
     peak = traced_peak(lambda: dataio.load_dataset(path))
     assert peak < 13 * MiB  # (15.3 MiB when the dataset copied its covariates again)
+
+
+def test_a_loaded_tau_does_not_hold_the_parsed_table(tmp_path):
+    # run_cv holds an --eval-data file's tau_true through the whole CV
+    s = gen_complex(ComplexDgp(), 50_000, seed=4)
+    path = tmp_path / "d.csv"
+    dataio.save_dataset(path, s.dataset, s.tau_true)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tau = dataio.load_dataset(path)[1]  # the Dataset is dropped here
+        held = tracemalloc.get_traced_memory()[0] - live
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * tau.nbytes  # (14x when tau was a column view of the table)

@@ -1,5 +1,6 @@
 """The benchmark's own self-test, so a package change cannot break its calls unseen."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from policycate import linear
 from policycate.dgp import SimpleDgp, gen_simple
+from policycate.experiments import TABLE2_DEFAULTS
 from policycate.selection import SigmaGrid, kfold_cv, linear_fit_function
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,6 +49,31 @@ def test_every_function_the_tracer_wraps_exists():
         if not callable(getattr(importlib.import_module(f"policycate.{mod}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_package_name_the_workloads_read_exists():
+    # workloads.py reads package functions and table2 defaults by name, so a
+    # rename would break the benchmark; the smoke run above notices only
+    # under -m slow.  The file is parsed, not imported or run.
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as f:
+        tree = ast.parse(f.read())
+    modules = {"dataio", "dgp", "evaluation", "linear", "mlp", "selection"}
+    attrs, keys = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                attrs.add((node.value.id, node.attr))
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            if node.value.id == "TABLE2_DEFAULTS" and isinstance(node.slice, ast.Constant):
+                keys.add(node.slice.value)
+    assert {mod for mod, _ in attrs} == modules and keys  # the walk found the reads
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in sorted(attrs)
+        if not hasattr(importlib.import_module(f"policycate.{mod}"), name)
+    ]
+    assert missing == []
+    assert sorted(keys - TABLE2_DEFAULTS.keys()) == []
 
 
 def test_linear_cv_on_design_rows_scores_through_predict_cate(monkeypatch):
