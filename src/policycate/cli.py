@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import experiments
+from . import dataio, experiments
 from .errors import (
     ConfigError,
     DataError,
@@ -29,23 +29,17 @@ _NUMERIC_EXIT = 4
 
 
 def _load_config(path):
+    """The checked config document in the file ``path``."""
     if path is None:
         raise ConfigError("--config is required for this command")
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    return experiments.validate_config(dataio.read_json_object(path, ConfigError, "config"))
 
 
 def _out_dir(args, cfg):
-    if args.out:
-        return args.out
-    if cfg and "output" in cfg and "dir" in cfg["output"]:
-        return cfg["output"]["dir"]
-    raise ConfigError("no output location: pass --out or set output.dir in the config")
+    out = args.out or cfg.get("output", {}).get("dir")
+    if out is None:
+        raise ConfigError("no output location: pass --out or set output.dir in the config")
+    return out
 
 
 def _positive_int(text):
@@ -178,11 +172,9 @@ def _run(args):
 
     if args.command == "table2":
         cfg = _load_config(args.config) if args.config else {}
-        if args.replications is not None:
-            cfg.setdefault("table2", {})["replications"] = args.replications
-        if args.seed is not None:
-            cfg.setdefault("table2", {})["train_seed"] = args.seed
-        summary = experiments.run_table2(cfg, _out_dir(args, cfg), jobs=args.jobs)
+        summary = experiments.run_table2(
+            cfg, _out_dir(args, cfg), jobs=args.jobs, replications=args.replications, seed=args.seed
+        )
         for tag in experiments.TABLE2_MODEL_ORDER:
             stats = summary[tag]
             cells = [f"{name}={mean:.4f}" for name, (mean, _) in stats.items()]

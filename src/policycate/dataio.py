@@ -247,9 +247,17 @@ def save_training_log(path, model: MlpModel):
     write_csv(path, ["epoch", "train_obj", "val_obj"], model.training_log)
 
 
+def _finite_array(values, name):
+    """``values`` as a 1-D float array whose every entry is finite."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} is not a list of finite numbers")
+    return a
+
+
 def _loaded_linear(doc):
     spec = _spec_from_json(doc)
-    theta = np.asarray(doc["theta"], dtype=float)
+    theta = _finite_array(doc["theta"], "theta")
     design = doc.get("design")
     if design and len(design) != len(theta):
         raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
@@ -261,16 +269,41 @@ def _loaded_linear(doc):
 
 
 def _loaded_mlp(doc):
-    head = doc["head"]
+    """A saved network, checked so that it scores as it was trained to.
+
+    The layers must chain from ``len(x_mean)`` inputs to one output, and
+    every number must be finite, with each ``x_sd`` positive.
+    """
+    head, activation = doc["head"], doc["activation"]
+    if head not in ("surrogate", "policy"):
+        raise ValueError(f"head {head!r} is not 'surrogate' or 'policy'")
+    if activation not in ("relu", "tanh"):
+        raise ValueError(f"activation {activation!r} is not 'relu' or 'tanh'")
+    x_mean = _finite_array(doc["x_mean"], "x_mean")
+    x_sd = _finite_array(doc["x_sd"], "x_sd")
+    if len(x_sd) != len(x_mean) or not np.all(x_sd > 0):
+        raise ValueError("x_sd is not one positive number per x_mean entry")
+    weights = [
+        _finite_array(flat, f"weights[{i}]").reshape(shape)
+        for i, (flat, shape) in enumerate(zip(doc["weights"], doc["weight_shapes"], strict=True))
+    ]
+    biases = [_finite_array(b, f"biases[{i}]") for i, b in enumerate(doc["biases"])]
+    width = len(x_mean)
+    for i, (w, b) in enumerate(zip(weights, biases, strict=True)):
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise ValueError(
+                f"layer {i}: weight shape {w.shape} and bias shape {b.shape} "
+                f"do not follow {width} inputs"
+            )
+        width = w.shape[1]
+    if not weights or width != 1:
+        raise ValueError(f"the network ends in {width} outputs, not 1")
     model = MlpModel(
-        weights=[
-            np.asarray(flat, dtype=float).reshape(shape)
-            for flat, shape in zip(doc["weights"], doc["weight_shapes"])
-        ],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        activation=doc["activation"],
-        x_mean=np.asarray(doc["x_mean"], dtype=float),
-        x_sd=np.asarray(doc["x_sd"], dtype=float),
+        weights=weights,
+        biases=biases,
+        activation=activation,
+        x_mean=x_mean,
+        x_sd=x_sd,
         head=head,
         spec=_spec_from_json(doc) if head == "surrogate" else None,
         cost=float(doc["cost"]),
@@ -284,19 +317,27 @@ def _loaded_mlp(doc):
     )
 
 
-def load_model(path) -> LoadedModel:
-    """Reload a saved model; a malformed file raises :class:`DataError`."""
+def read_json_object(path, error, what):
+    """The JSON object in ``path``, a ``what``; anything else raises ``error`` naming the file."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: a model file holds a JSON object")
+        raise error(f"{path}: a {what} holds a JSON object")
+    return doc
+
+
+def load_model(path) -> LoadedModel:
+    """Reload a saved model; a malformed file raises :class:`DataError`."""
+    doc = read_json_object(path, DataError, "model file")
     build = {"linear": _loaded_linear, "mlp": _loaded_mlp}.get(doc.get("kind"))
     if build is None:
         raise DataError(f"{path}: unknown model kind {doc.get('kind')!r}")

@@ -241,12 +241,15 @@ def _mean_sd(reports):
     return stats
 
 
-def _spec_from_model_config(model):
-    return spec_for_sigma(
-        model.get("family", "normal"),
-        float(model.get("cost", 1.0)),
-        float(model.get("sigma", 1.0)),
-    )
+def _model_inputs(cfg, data_path):
+    """The checked ``model`` section, its family and cost, the transformed
+    dataset and the linear design (by default an intercept and every covariate)."""
+    validate_config(cfg, required_sections=("model",))
+    model = cfg["model"]
+    dataset, _ = dataio.load_dataset(data_path)
+    design = model.get("design", _default_design(dataset.k))
+    family, cost = model.get("family", "normal"), float(model.get("cost", 1.0))
+    return model, family, cost, transform_outcomes(dataset), design
 
 
 # ------------------------------------------------------------------ simulate
@@ -277,16 +280,12 @@ def run_simulate(cfg, out_dir, with_oracle=False, replications=None, seed=None):
 
 
 def run_fit(data_path, cfg, out_dir):
-    validate_config(cfg, required_sections=("model",))
-    model_cfg = cfg["model"]
-    dataset, _ = dataio.load_dataset(data_path)
-    td = transform_outcomes(dataset)
-    spec = _spec_from_model_config(model_cfg)
+    model_cfg, family, cost, td, design = _model_inputs(cfg, data_path)
+    spec = spec_for_sigma(family, cost, float(model_cfg.get("sigma", 1.0)))
     model_path = os.path.join(out_dir, "model.json")
 
     if model_cfg["type"] == "linear":
-        design = model_cfg.get("design", _default_design(dataset.k))
-        td_design = td.with_design(build_design(dataset.x, design))
+        td_design = td.with_design(build_design(td.x, design))
         result = fit_linear(td_design, LinearFitConfig(spec=spec, **_solver_options(model_cfg)))
         dataio.save_linear_fit(model_path, result, design=design)
         return {"model_path": model_path, "converged": result.converged, "iters": result.iters}
@@ -311,14 +310,14 @@ def run_fit(data_path, cfg, out_dir):
 # ------------------------------------------------------------------ evaluate
 
 
-def _builtin_predictor(tag, dgp, cost):
-    if tag == "oracle":
-        return dgp.tau, True
-    if tag == "mail":
-        return lambda x: np.full(np.atleast_2d(x).shape[0], cost), False
-    if tag == "no_mail":
-        return lambda x: np.full(np.atleast_2d(x).shape[0], cost - 1.0), False
-    raise ConfigError(f"unknown builtin model tag {tag!r}")
+def _builtin_models(dgp):
+    """{tag: (predictor, is_cate)} of the models that need no training, in table2's row order."""
+    cost = dgp.cost
+    return {
+        "oracle": (dgp.tau, True),
+        "mail": (lambda x: np.full(np.atleast_2d(x).shape[0], cost), False),
+        "no_mail": (lambda x: np.full(np.atleast_2d(x).shape[0], cost - 1.0), False),
+    }
 
 
 def _training_draw(dgp, n, seed):
@@ -350,10 +349,11 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
     eval_seed = int(cfg["evaluation"].get("seed", TABLE2_DEFAULTS["eval_seed"]))
     reps = int(replications) if replications else 1
     cost = dgp.cost
+    builtins = _builtin_models(dgp)
 
     tag = model_arg
-    if model_arg in ("oracle", "mail", "no_mail"):
-        predictor, is_cate = _builtin_predictor(model_arg, dgp, cost)
+    if model_arg in builtins:
+        predictor, is_cate = builtins[model_arg]
     elif model_arg == "ols":
         is_cate = True  # the predictor is refit for each replication below
     else:
@@ -384,21 +384,15 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
 
 
 def run_cv(data_path, cfg, out_dir, eval_data_path=None):
-    validate_config(cfg, required_sections=("model",))
-    model_cfg = cfg["model"]
-    selection = cfg.get("selection", {})
-    dataset, _ = dataio.load_dataset(data_path)
-    td = transform_outcomes(dataset)
-    family = model_cfg.get("family", "normal")
+    model_cfg, family, cost, td, design = _model_inputs(cfg, data_path)
     if family == "uniform":
         raise ConfigError("model.family: cv tunes sigma; use normal or logistic")
-    cost = float(model_cfg.get("cost", 1.0))
+    selection = cfg.get("selection", {})
     grid = SigmaGrid(tuple(selection.get("grid", DEFAULT_SIGMA_GRID)))
     folds = int(selection.get("folds", 5))
     seed = int(selection.get("seed", 0))
 
     if model_cfg["type"] == "linear":
-        design = model_cfg.get("design", _default_design(dataset.k))
         fit = linear_fit_function(design, **_solver_options(model_cfg))
     elif model_cfg["type"] == "mlp":
         fit = mlp_fit_function(_mlp_config(model_cfg.get("mlp")))
@@ -410,10 +404,10 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
         eval_ds, eval_tau = dataio.load_dataset(eval_data_path)
         if eval_tau is None:
             raise ConfigError("--eval-data file must carry a tau_true column")
-        if eval_ds.k != dataset.k:
+        if eval_ds.k != td.k:
             raise DataError(
                 f"{eval_data_path}: {eval_ds.k} covariate columns, "
-                f"but the training data has {dataset.k}"
+                f"but the training data has {td.k}"
             )
         eval_sample = LabeledSample(dataset=eval_ds, tau_true=eval_tau)
 
@@ -517,10 +511,14 @@ TABLE2_MODEL_ORDER = (
 )
 
 
-def _table2_params(cfg):
-    """``TABLE2_DEFAULTS`` overridden by the ``table2`` section, and the generator."""
+def _table2_params(cfg, replications=None, seed=None):
+    """``TABLE2_DEFAULTS`` overridden by the ``table2`` section and then by the
+    ``replications`` and training ``seed`` given, and the generator."""
     user = cfg.get("table2", {})
-    params = {**TABLE2_DEFAULTS, **user, "mlp": {**TABLE2_DEFAULTS["mlp"], **user.get("mlp", {})}}
+    flags = {"replications": replications, "train_seed": seed}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    mlp = {**TABLE2_DEFAULTS["mlp"], **user.get("mlp", {})}
+    params = {**TABLE2_DEFAULTS, **user, **flags, "mlp": mlp}
     params["linear_grid"] = SigmaGrid(tuple(params["linear_grid"]))
     params["mlp_grid"] = SigmaGrid(tuple(params["mlp_grid"]))
     dgp = _dgp_from_config(cfg) if "dgp" in cfg else ComplexDgp()
@@ -570,18 +568,19 @@ def _table2_fit_rep(args):
     return rep, models, selected
 
 
-def run_table2(cfg, out_dir, jobs=1):
+def run_table2(cfg, out_dir, jobs=1, replications=None, seed=None):
     """Desk-scale benchmark: every model family on the complex generator.
 
-    Fits ``replications`` training draws, evaluates all models on one large
-    oracle-labeled sample, and writes per-replication rows plus a mean/SD
-    summary.  Returns {model: {metric: (mean, sd)}} with per-replication
-    (profit, mse, qini) triples under the "_runs" key.  The three output
-    files are written only after the last replication, so a failed run
-    writes none of them.
+    Fits ``replications`` training draws from the training seed ``seed``
+    (``table2.replications`` and ``table2.train_seed`` when not given),
+    evaluates all models on one large oracle-labeled sample, and writes
+    per-replication rows plus a mean/SD summary.  Returns {model: {metric:
+    (mean, sd)}} with per-replication (profit, mse, qini) triples under the
+    "_runs" key.  The three output files are written only after the last
+    replication, so a failed run writes none of them.
     """
     validate_config(cfg)
-    params, dgp = _table2_params(cfg)
+    params, dgp = _table2_params(cfg, replications, seed)
     eval_sample = generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
 
@@ -612,10 +611,8 @@ def run_table2(cfg, out_dir, jobs=1):
         # a failed replication must not leave queued work or live workers
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    # the shared baselines need no training draw; they are scored as
-    # `evaluate` scores the same builtin tags
-    baselines = ("oracle", "mail", "no_mail")
-    score(None, [(tag, None, *_builtin_predictor(tag, dgp, cost)) for tag in baselines])
+    # the shared baselines are scored as `evaluate` scores the same builtin tags
+    score(None, [(tag, None, *model) for tag, model in _builtin_models(dgp).items()])
 
     summary = {tag: _mean_sd(per_model[tag]) for tag in TABLE2_MODEL_ORDER}
     summary["_runs"] = {

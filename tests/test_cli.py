@@ -1,20 +1,30 @@
+import argparse
 import functools
 import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import dataio, experiments, linear
+from policycate import cli, dataio, errors, experiments, linear
 from policycate.cli import main
-from policycate.dgp import generate
+from policycate.dgp import ComplexDgp, generate
 from policycate.errors import ConfigError
 from policycate.evaluation import evaluate_model
 from policycate.linear import ols_solution
-from policycate.mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy
+from policycate.mlp import (
+    DirectPolicyConfig,
+    MlpConfig,
+    predict_mlp,
+    train_direct_policy,
+    train_surrogate_mlp,
+)
+from policycate.selection import spec_for_sigma
 
 
 def write_config(path, doc):
@@ -186,6 +196,73 @@ def test_validate_config_accepts_or_raises_config_error(doc):
         pass
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.binary(max_size=40) | _JSON_DOCS.map(lambda doc: json.dumps(doc).encode()))
+def test_load_config_returns_a_checked_document_or_raises_config_error(data):
+    # any file, UTF-8 or not, JSON or not: reading it and finding its output
+    # location either succeed or raise ConfigError, never another exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            cfg = cli._load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(cfg, dict)
+    try:
+        out = cli._out_dir(argparse.Namespace(out=None), cfg)
+    except ConfigError:
+        return
+    assert isinstance(out, str)
+
+
+# each of these was read before it was checked, and crashed with a traceback
+MALFORMED_CONFIGS = {
+    "not-utf8": (b'{"dgp": {"name": "simple", "n": 10, "seed": 1}}\xff',
+                 ["simulate", "--out", "out"], "cfg.json: not UTF-8 text"),
+    "output-not-an-object": (b'{"dgp": {"name": "simple", "n": 10, "seed": 1}, "output": 5}',
+                             ["simulate"], "output: expected an object"),
+    "table2-not-an-object": (b'{"table2": [1]}', ["table2", "--out", "out", "--seed", "4"],
+                             "table2: expected an object"),
+    "root-not-an-object": (b"[1, 2]", ["table2", "--out", "out", "--replications", "1"],
+                           "cfg.json: a config holds a JSON object"),
+    "nested-too-deeply": (b"[" * 100_000 + b"]" * 100_000, ["simulate", "--out", "out"],
+                          "cfg.json: JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("data, argv, message", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_file_exits_2(tmp_path, monkeypatch, capsys, data, argv, message):
+    (tmp_path / "cfg.json").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _concrete_errors(cls=errors.PolicyCateError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_errors(sub)
+
+
+_EXIT_LABELS = {2: "config error", 3: "data error", 4: "numerical failure"}
+
+
+@pytest.mark.parametrize("error", list(_concrete_errors()), ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_label(monkeypatch, capsys, error):
+    # an error class that main does not map would escape as a traceback
+    def failing_run(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_run", failing_run)
+    code = main(["table2"])
+    assert code in _EXIT_LABELS
+    assert capsys.readouterr().err == f"{_EXIT_LABELS[code]}: boom\n"
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
 
@@ -254,6 +331,67 @@ def test_evaluate_malformed_model_exits_3(tmp_path, capsys):
     argv = ["evaluate", "--model", str(model), "--config", cfg, "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 3
     assert "model.json" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def saved_network(tmp_path_factory):
+    """A 3-epoch (4,) surrogate network as saved, and a config to score it."""
+    td = linear.transform_outcomes(generate(ComplexDgp(), 400, seed=3).dataset)
+    net = MlpConfig(hidden_sizes=(4,), max_epochs=3, seed=3)
+    model = train_surrogate_mlp(td, spec_for_sigma("normal", 1.0, 1.0), net)
+    path = tmp_path_factory.mktemp("net") / "model.json"
+    dataio.save_mlp_model(path, model)
+    doc = {"dgp": {"name": "complex", "n": 400, "seed": 3}, "evaluation": {"n": 500, "seed": 5}}
+    return json.loads(path.read_text()), doc
+
+
+def _edit(doc, key, edit):
+    return {**doc, key: edit(doc[key])}
+
+
+# each file scored silently with other numbers or crashed; every one must
+# exit 3 and name the file, as any other malformed model file does
+MALFORMED_NETWORKS = {
+    "activation-sigmoid": lambda d: {**d, "activation": "sigmoid"},
+    "head-foo": lambda d: {**d, "head": "foo"},
+    "shapes-do-not-chain": lambda d: _edit(d, "weight_shapes", lambda s: [s[0][::-1], s[1]]),
+    "short-bias": lambda d: _edit(d, "biases", lambda b: [b[0][:-1], b[1]]),
+    "short-x-mean": lambda d: _edit(d, "x_mean", lambda m: m[:-1]),
+    "two-outputs": lambda d: {
+        **d,
+        "weights": [d["weights"][0], d["weights"][1] * 2],
+        "weight_shapes": [d["weight_shapes"][0], [4, 2]],
+        "biases": [d["biases"][0], d["biases"][1] * 2],
+    },
+    "non-finite-weight": lambda d: _edit(d, "weights", lambda w: [[math.inf, *w[0][1:]], w[1]]),
+    "non-finite-x-mean": lambda d: _edit(d, "x_mean", lambda m: [math.nan, *m[1:]]),
+    "zero-x-sd": lambda d: _edit(d, "x_sd", lambda m: [0.0, *m[1:]]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_NETWORKS.values(), ids=MALFORMED_NETWORKS.keys())
+def test_evaluate_malformed_network_file_exits_3(tmp_path, capsys, saved_network, edit):
+    saved, doc = saved_network
+    model = tmp_path / "bad_net.json"
+    model.write_text(json.dumps(edit(saved)))
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert "bad_net.json: malformed mlp model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_linear_model_with_non_finite_theta_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "linear", "family": "normal", "cost": 1.0, "sigma": 1.0,
+        "theta": [math.nan, math.nan, math.nan], "design": ["1", "x1", "x1^2"],
+    }))
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert "model.json: malformed linear model" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_model_that_is_not_utf8_exits_3(tmp_path, capsys):
