@@ -22,17 +22,19 @@ from .errors import (
     SingularHessianError,
     ValidationError,
 )
+from .surrogate import Family
 
 _CONFIG_EXIT = 2
 _DATA_EXIT = 3
 _NUMERIC_EXIT = 4
 
 
-def _load_config(path):
-    """The checked config document in the file ``path``."""
+def _load_config(path, *sections):
+    """The config document in the file ``path``, checked once, with ``sections`` required."""
     if path is None:
         raise ConfigError("--config is required for this command")
-    return experiments.validate_config(dataio.read_json_object(path, ConfigError, "config"))
+    doc = dataio.read_json_object(path, ConfigError, "config")
+    return experiments.validate_config(doc, sections)
 
 
 def _out_dir(args, cfg):
@@ -97,7 +99,7 @@ def build_parser():
     p = sub.add_parser("curve", parents=[out], help="emit scalar objective curves")
     p.add_argument("--tau0", type=float, required=True)
     p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--family", choices=("normal", "logistic", "uniform"), required=True)
+    p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--sigma", action="append", type=float, help="repeatable; inf allowed")
     p.add_argument("--grid", default="-6:8:281", help="tau grid as lo:hi:points")
     p.add_argument("--uniform-lo", type=float)
@@ -113,7 +115,7 @@ def build_parser():
 
 def _run(args):
     if args.command == "simulate":
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, "dgp")
         paths = experiments.run_simulate(
             cfg,
             _out_dir(args, cfg),
@@ -126,13 +128,13 @@ def _run(args):
         return 0
 
     if args.command == "fit":
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, "model")
         info = experiments.run_fit(args.data, cfg, _out_dir(args, cfg))
         print(json.dumps(info))
         return 0
 
     if args.command == "evaluate":
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, "dgp", "evaluation")
         out = args.out
         if out is None:
             raise ConfigError("--out report path is required for evaluate")
@@ -145,7 +147,7 @@ def _run(args):
         return 0
 
     if args.command == "cv":
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, "model")
         info = experiments.run_cv(
             args.data, cfg, _out_dir(args, cfg), eval_data_path=args.eval_data
         )

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DimensionError, ValidationError
-from .linear import Dataset, LinearFitResult, predict_rows, row_blocks
-from .mlp import MlpModel, predict_mlp
+from .linear import Dataset, LinearFitResult, parse_design, predict_rows, row_blocks
+from .mlp import ACTIVATIONS, MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
 
 
@@ -259,8 +259,11 @@ def _loaded_linear(doc):
     spec = _spec_from_json(doc)
     theta = _finite_array(doc["theta"], "theta")
     design = doc.get("design")
-    if design and len(design) != len(theta):
-        raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
+    if design is not None:  # parsed here, so a bad term names the file
+        if not isinstance(design, list):
+            raise ValueError(f"design {design!r} is not a list of terms")
+        if len(parse_design(design)) != len(theta):
+            raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
     return LoadedModel(
         kind="linear",
         is_cate=True,
@@ -277,8 +280,8 @@ def _loaded_mlp(doc):
     head, activation = doc["head"], doc["activation"]
     if head not in ("surrogate", "policy"):
         raise ValueError(f"head {head!r} is not 'surrogate' or 'policy'")
-    if activation not in ("relu", "tanh"):
-        raise ValueError(f"activation {activation!r} is not 'relu' or 'tanh'")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation {activation!r} is not one of {ACTIVATIONS}")
     x_mean = _finite_array(doc["x_mean"], "x_mean")
     x_sd = _finite_array(doc["x_sd"], "x_sd")
     if len(x_sd) != len(x_mean) or not np.all(x_sd > 0):

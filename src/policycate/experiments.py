@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import dataio, rng
+from . import dataio, mlp, rng
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, generate
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_model
@@ -43,7 +43,7 @@ from .selection import (
     mlp_fit_function,
     spec_for_sigma,
 )
-from .surrogate import ScalarSurrogateProblem, objective_curve
+from .surrogate import Family, ScalarSurrogateProblem, objective_curve
 
 # ------------------------------------------------------------- config schema
 
@@ -121,7 +121,7 @@ def _check_object(path, value, schema):
 
 _MLP_FIELDS = {
     "hidden_sizes": "int_list",
-    "activation": ("relu", "tanh"),
+    "activation": mlp.ACTIVATIONS,
     "weight_decay": "nonneg_num",
     "dropout_rate": "nonneg_num",
     "grad_clip_norm": "pos_num",
@@ -147,7 +147,7 @@ CONFIG_SCHEMA = {
     "model": {
         "__required__": ("type",),
         "type": ("linear", "mlp", "policy"),
-        "family": ("normal", "logistic", "uniform"),
+        "family": tuple(f.value for f in Family),
         "sigma": "sigma",
         "cost": "num",
         "design": "str_list",
@@ -189,7 +189,7 @@ CONFIG_SCHEMA = {
 
 
 def validate_config(doc, required_sections=()):
-    """Schema-check a config document; unknown keys are errors."""
+    """Schema-check a config document (unknown keys are errors); the runners trust it."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected an object")
     for key in doc:
@@ -244,7 +244,6 @@ def _mean_sd(reports):
 def _model_inputs(cfg, data_path):
     """The checked ``model`` section, its family and cost, the transformed
     dataset and the linear design (by default an intercept and every covariate)."""
-    validate_config(cfg, required_sections=("model",))
     model = cfg["model"]
     dataset, _ = dataio.load_dataset(data_path)
     design = model.get("design", _default_design(dataset.k))
@@ -256,7 +255,6 @@ def _model_inputs(cfg, data_path):
 
 
 def run_simulate(cfg, out_dir, with_oracle=False, replications=None, seed=None):
-    validate_config(cfg, required_sections=("dgp",))
     dgp = _dgp_from_config(cfg)
     section = cfg["dgp"]
     reps = int(replications if replications is not None else section.get("replications", 1))
@@ -343,7 +341,6 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
     writes one report row to ``out_path``; several write every round to
     ``<out_path stem>_rounds.csv`` and their mean/SD to ``out_path``.
     """
-    validate_config(cfg, required_sections=("dgp", "evaluation"))
     dgp = _dgp_from_config(cfg)
     eval_n = cfg["evaluation"]["n"]
     eval_seed = int(cfg["evaluation"].get("seed", TABLE2_DEFAULTS["eval_seed"]))
@@ -579,7 +576,6 @@ def run_table2(cfg, out_dir, jobs=1, replications=None, seed=None):
     "_runs" key.  The three output files are written only after the last
     replication, so a failed run writes none of them.
     """
-    validate_config(cfg)
     params, dgp = _table2_params(cfg, replications, seed)
     eval_sample = generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost

@@ -182,33 +182,41 @@ def transform_outcomes(data: Dataset) -> TransformedDataset:
     return TransformedDataset(data.x, y_star)
 
 
-def build_design(x_raw, terms):
-    """Assemble a design matrix from term strings.
-
-    Terms: ``"1"`` (intercept), ``"xJ"`` (column J, 1-based), ``"xJ^P"``
-    (integer power of column J).  Example: ``["1", "x1", "x1^2"]``.
+def parse_design(terms):
+    """The ``(J, P)`` pair of each design term: ``(None, None)`` for ``"1"`` (the
+    intercept), ``(J, None)`` for ``"xJ"`` (column J, 1-based) and ``(J, P)`` for
+    ``"xJ^P"`` (its integer power P >= 1).  Example: ``["1", "x1", "x1^2"]``.
+    :func:`build_design` checks that column J exists in the rows.
     """
+    parsed = []
+    for term in terms:
+        t = term.strip() if isinstance(term, str) else ""
+        base, _, power = t.partition("^")
+        if t == "1":
+            parsed.append((None, None))
+        elif not (base.startswith("x") and base[1:].isdecimal()):
+            raise ValidationError(f"unrecognized design term {term!r}")
+        elif power and not (power.isdecimal() and int(power) >= 1):
+            raise ValidationError(f"bad power in design term {term!r}")
+        else:
+            parsed.append((int(base[1:]), int(power) if power else None))
+    if not parsed:
+        raise ValidationError("design needs at least one term")
+    return parsed
+
+
+def build_design(x_raw, terms):
+    """Assemble a design matrix from the term strings of :func:`parse_design`."""
     x_raw = np.atleast_2d(np.asarray(x_raw, dtype=float))
     cols = []
-    for term in terms:
-        t = term.strip()
-        if t == "1":
+    for term, (j, power) in zip(terms, parse_design(terms)):
+        if j is None:
             cols.append(np.ones(x_raw.shape[0]))
             continue
-        base, _, power = t.partition("^")
-        if not (base.startswith("x") and base[1:].isdigit()):
-            raise ValidationError(f"unrecognized design term {term!r}")
-        j = int(base[1:])
         if not 1 <= j <= x_raw.shape[1]:
             raise DimensionError(f"design term {term!r} exceeds {x_raw.shape[1]} columns")
         col = x_raw[:, j - 1]
-        if power:
-            if not power.isdigit() or int(power) < 1:
-                raise ValidationError(f"bad power in design term {term!r}")
-            col = col ** int(power)
-        cols.append(col)
-    if not cols:
-        raise ValidationError("design needs at least one term")
+        cols.append(col if power is None else col**power)
     return np.column_stack(cols)
 
 
@@ -255,7 +263,6 @@ class LinearFitResult:
     iters: int
     final_gradient_norm: float
     objective: float
-    covariance: Optional[np.ndarray] = None
     std_errors: Optional[np.ndarray] = None
 
 
@@ -293,8 +300,8 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
     Deterministic given inputs.  ``converged`` reports whether the sup-norm
     of the gradient reached ``grad_tol`` within ``max_iters``.  For the
     uniform family the maximizer is the closed-form least squares fit, which
-    the start hits immediately.  The sandwich covariance is attached when
-    the fit converged.
+    the start hits immediately.  The sandwich standard errors are attached
+    when the fit converged.
     """
     x, y_star = td.x, td.y_star
     n, k = x.shape
@@ -351,11 +358,10 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
         if stalled >= 5 or not delta.any():
             break
 
-    covariance = std_errors = None
+    std_errors = None
     if converged:
         try:
-            cov = sandwich_covariance(theta, td, spec)
-            covariance, std_errors = cov.sandwich, cov.std_errors
+            std_errors = sandwich_covariance(theta, td, spec).std_errors
         except SingularHessianError:
             pass  # report the fit without inference
     return LinearFitResult(
@@ -366,7 +372,6 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
         iters=iters,
         final_gradient_norm=gnorm,
         objective=obj,
-        covariance=covariance,
         std_errors=std_errors,
     )
 
@@ -384,8 +389,9 @@ def sandwich_covariance(theta_hat, td: TransformedDataset, spec: sg.SurrogateSpe
     x, y_star = td.x, td.y_star
     n = x.shape[0]
     scores = _scores(theta_hat, td)
-    g_i = np.asarray(sg.dloss_dtau(spec, scores, y_star))
-    s_i = np.asarray(sg.d2loss_dtau2(spec, scores, y_star))
+    work = sg.RowWork(spec, y_star)
+    g_i = sg.dloss_dtau(spec, scores, y_star, work=work)
+    s_i = sg.d2loss_dtau2(spec, scores, y_star, work=work)
     if spec.family is not sg.Family.UNIFORM:
         g_i = g_i / spec.scale
         s_i = s_i / spec.scale**2

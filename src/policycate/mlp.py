@@ -66,12 +66,13 @@ from .errors import DimensionError, NonFiniteLossError, ValidationError
 from .linear import BLOCK_ROWS, TransformedDataset, row_blocks
 
 _MOMENTUM = 0.9
+ACTIVATIONS = ("relu", "tanh")  # the hidden-layer nonlinearities a network may use
 
 
 @dataclass(frozen=True)
 class MlpConfig:
     hidden_sizes: tuple = (64, 64)
-    activation: str = "relu"  # "relu" | "tanh"
+    activation: str = "relu"  # one of ACTIVATIONS
     weight_decay: float = 0.0
     dropout_rate: float = 0.0
     grad_clip_norm: Optional[float] = None
@@ -86,8 +87,8 @@ class MlpConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if any(h < 1 for h in self.hidden_sizes):
             raise ValidationError("hidden sizes must be positive")
-        if self.activation not in ("relu", "tanh"):
-            raise ValidationError("activation must be 'relu' or 'tanh'")
+        if self.activation not in ACTIVATIONS:
+            raise ValidationError(f"activation must be one of {ACTIVATIONS}")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be nonnegative")
         if not 0.0 <= self.dropout_rate < 1.0:

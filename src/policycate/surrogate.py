@@ -27,15 +27,15 @@ scale directly, so ``tau_bar`` is ``tau`` itself and no conversion applies.
 
 Row workspace
 -------------
-:func:`loss_q` and :func:`dloss_dtau` take a keyword-only ``work``, a
-:class:`RowWork` built on one ``spec`` and one ``y_star`` array.  A call with
-it computes in the workspace's buffers and returns one of them: the array
-stays valid until the workspace's next call, so reduce or copy it first.  It
-also keeps the term the loss shares with its slope for the score array it
-last saw, so a solver that takes the slope at its last evaluated point pays
-for that term once.  Without ``work`` each call builds a fresh workspace on
-its broadcast inputs and runs the same code, so both forms return the same
-bits, and a scalar call still returns a float.
+:func:`loss_q`, :func:`dloss_dtau` and :func:`d2loss_dtau2` take a
+keyword-only ``work``, a :class:`RowWork` built on one ``spec`` and one
+``y_star`` array.  The loss and the slope compute in its buffers and return
+one of them, valid until its next call, so reduce or copy it first; the
+curvature returns a fresh array.  It keeps the term the three share for the
+score array it last saw, so the solver's slope and the sandwich's slope and
+curvature pay for that term once.  Without ``work`` each call builds a fresh
+workspace on its broadcast inputs and runs the same code, so both forms
+return the same bits, and a scalar call still returns a float.
 
 Special functions
 -----------------
@@ -252,15 +252,15 @@ def kappa(spec: SurrogateSpec, tau):
 
 
 class RowWork:
-    """Row buffers that :func:`loss_q` and :func:`dloss_dtau` reuse over one ``y*``.
+    """Row buffers that the loss, its slope and its curvature reuse over one ``y*``.
 
     A workspace is bound to one ``spec`` and one ``y_star`` array: pass those
     same objects with ``work=`` (anything else raises ``ValidationError``),
     and scores of ``y_star``'s shape.  It holds ``y* - cost`` and the term
-    the loss shares with its slope: ``phi(t)`` for the normal family,
+    the loss shares with its derivatives: ``phi(t)`` for the normal family,
     ``G(t)`` and ``G(-t)`` for the logistic family, ``y* - t`` for the
     uniform family.  The shared term belongs to the score array that last
-    went through either function; a call on that same object reuses it, a
+    went through any of them; a call on that same object reuses it, a
     call on any other array recomputes it.  So do not write into a score
     array between the calls that share it.
     """
@@ -364,26 +364,24 @@ def dloss_dtau(spec: SurrogateSpec, tau_bar, y_star, *, work: RowWork | None = N
     return _as_float(out)
 
 
-def d2loss_dtau2(spec: SurrogateSpec, tau_bar, y_star):
+def d2loss_dtau2(spec: SurrogateSpec, tau_bar, y_star, *, work: RowWork | None = None):
     """Second derivative of :func:`loss_q` in its ``tau_bar`` argument.
 
     This is the scalar curvature factor ``s_i`` of a linear model fitted on
     the internal scale: its Hessian contribution is ``s_i * x x^T``.  Divide
-    by ``sigma**2`` for the money-scale curvature.
+    by ``sigma**2`` for the money-scale curvature.  ``work`` is as for
+    :func:`loss_q`, but the result is a fresh array.
     """
-    tau_bar = np.asarray(tau_bar, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
+    w, t = _bind(spec, tau_bar, y_star, work)
+    if spec.family is Family.UNIFORM:
+        return _as_float(np.full(t.shape, -2.0))
+    w._share(t)
+    resid = w._resid0 - spec.scale * t
     if spec.family is Family.NORMAL:
-        resid = y_star - spec.cost - spec.scale * tau_bar
-        out = -_phi(tau_bar) * (tau_bar * resid + spec.scale)
-    elif spec.family is Family.LOGISTIC:
-        expit = special().expit
-        G = expit(tau_bar)
-        g = G * expit(-tau_bar)
-        resid = y_star - spec.cost - spec.scale * tau_bar
-        out = -g * ((2.0 * G - 1.0) * resid + spec.scale)
+        out = -w._shared[0] * (t * resid + spec.scale)
     else:
-        out = np.broadcast_to(-2.0, np.broadcast_shapes(tau_bar.shape, y_star.shape)).copy()
+        g_pos, g_neg = w._shared
+        out = -(g_pos * g_neg) * ((2.0 * g_pos - 1.0) * resid + spec.scale)
     return _as_float(out)
 
 

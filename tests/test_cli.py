@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from policycate import cli, dataio, errors, experiments, linear
 from policycate.cli import main
-from policycate.dgp import ComplexDgp, generate
+from policycate.dgp import ComplexDgp, SimpleDgp, generate
 from policycate.errors import ConfigError
 from policycate.evaluation import evaluate_model
 from policycate.linear import ols_solution
@@ -381,6 +381,48 @@ def test_evaluate_malformed_network_file_exits_3(tmp_path, capsys, saved_network
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def saved_linear(tmp_path_factory):
+    """A linear fit on ``["1", "x1"]`` as saved, and a config to score it."""
+    td = linear.transform_outcomes(generate(SimpleDgp(), 300, seed=7).dataset)
+    design = ["1", "x1"]
+    fit = linear.fit_linear(
+        td.with_design(linear.build_design(td.x, design)),
+        linear.LinearFitConfig(spec=spec_for_sigma("normal", 1.0, 1.0)),
+    )
+    path = tmp_path_factory.mktemp("linear") / "model.json"
+    dataio.save_linear_fit(path, fit, design=design)
+    doc = {"dgp": {"name": "simple", "n": 300, "seed": 7}, "evaluation": {"n": 500, "seed": 5}}
+    return json.loads(path.read_text()), doc
+
+
+# a design the term grammar rejects, whatever the rows; each exited 2 without
+# naming the file, crashed, or (the object) scored as if it were the list
+MALFORMED_DESIGNS = {
+    "unknown-term": ["1", "z9"],
+    "non-string-term": ["1", 5],
+    "string-not-list": "x1",
+    "object-not-list": {"1": 0, "x1": 1},
+    "zero-power": ["1", "x1^0"],
+    "superscript-power": ["1", "x1^\u00b2"],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("design", MALFORMED_DESIGNS.values(), ids=MALFORMED_DESIGNS.keys())
+def test_evaluate_linear_model_with_malformed_design_exits_3(
+    tmp_path, capsys, saved_linear, design
+):
+    saved, doc = saved_linear
+    model = tmp_path / "bad_linear.json"
+    model.write_text(json.dumps({**saved, "design": design}))
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert "bad_linear.json: malformed linear model" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_linear_model_with_non_finite_theta_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     model = tmp_path / "model.json"
@@ -601,6 +643,28 @@ def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, cod
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"family": "uniform"}, "model.family: cv tunes sigma; use normal or logistic"),
+        ({"type": "policy"}, "model.type: cv supports linear or mlp models"),
+    ],
+    ids=["uniform-family", "policy-model"],
+)
+def test_cv_rejects_a_model_it_cannot_tune(tmp_path, capsys, model, message):
+    doc = base_config()
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
+    doc["model"].update(model)
+    bad = write_config(tmp_path / "bad.json", doc)
+    capsys.readouterr()
+    out = tmp_path / "cv"
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+    assert main(["cv", "--data", data, "--config", bad, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class RecordingPool:
     """A serial stand-in for ProcessPoolExecutor that records its worker counts."""
 
@@ -711,13 +775,24 @@ CURVE_INPUTS_IT_CANNOT_HONOUR = [
     (["--grid=-inf:5:5"], "grid spec bounds must be finite"),
     (["--uniform-lo", "0"], "--uniform-lo and --uniform-hi apply only to --family uniform"),
     (["--family", "logistic", "--uniform-hi", "3"], "apply only to --family uniform"),
+    (["--grid=1:2"], "grid spec must be lo:hi:points"),
+    (["--grid=a:b:3"], "bad grid spec 'a:b:3'"),
+    (["--grid=2:1:5"], "grid spec needs hi > lo and points >= 1"),
 ]
 
 
 @pytest.mark.parametrize(
     "args, message",
     CURVE_INPUTS_IT_CANNOT_HONOUR,
-    ids=["repeated-label", "infinite-grid", "uniform-lo-normal", "uniform-hi-logistic"],
+    ids=[
+        "repeated-label",
+        "infinite-grid",
+        "uniform-lo-normal",
+        "uniform-hi-logistic",
+        "two-part-grid",
+        "non-numeric-grid",
+        "descending-grid",
+    ],
 )
 def test_curve_rejects_input_it_cannot_honour(tmp_path, capsys, args, message):
     out = tmp_path / "curve"
@@ -924,7 +999,9 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 # complex draws.  Two replications of the ols tag and a uniform curve with
 # its own support (recorded before the two generators became one routine and
 # every threshold spec came from spec_for_sigma) pin the refit-per-replication
-# path, the sigma = inf spec and the curve's uniform bounds.
+# path, the sigma = inf spec and the curve's uniform bounds.  A cv --eval-data
+# run on the relu network (recorded before each config was checked once per
+# command) pins cv's network path.
 # Unlike the other files the networks depend on matrix products: they are
 # too small for a BLAS thread split, but a BLAS build that sums in another
 # order, or a numpy whose tanh kernel for this CPU rounds differently, would
@@ -937,6 +1014,9 @@ GOLDEN_OUTPUT_SHA256 = {
     "cv/cv_result.json": "fafc0aa2690bda5dbb6f6c88d04302955caaff023f94fefca3f21eea2f62fcae",
     "cv/frontier.csv": "2b3776e29aa631ca0a1792797f983fdf76efda099e3e80d247348c39adec0b74",
     "cv/truth_frontier.csv": "43e6b11599e86555263cd72cf80b4330c292c01787c4757e21d379d7767b9527",
+    "cv_mlp/cv_result.json": "32f7f16f33fd6e111c6cad41b40f0be8d278e492058435562fbc4533c29567d6",
+    "cv_mlp/frontier.csv": "24933023548b0c714e3d69390a9b2c7475b1e5a800f362e75544c8d3dab0e0af",
+    "cv_mlp/truth_frontier.csv": "e579a6af2cfdf58c58057c28fb4167ce91a4125e97c1e0b196bb6138bd1371a6",
     "fit_linear/model.json": "378b5cd09e664666b9419d0348e86f577ad34db45e43ead1da0f5e45e0472f0c",
     "fit_mlp/model.json": "22d8166e7637da396d727273d9f1b49776483ba475b3714e19ef7dc24a0766aa",
     "fit_mlp/training_log.csv": "514ce1ba05c6f2ccb1015c87c8dd6641815d8956dadf49420a9032d217702b49",
@@ -1003,6 +1083,9 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--uniform-hi", "4", "--grid=-3:5:17", "--out", str(out / "curve_bounds")],
         ["fit", "--data", data, "--config", cfg, "--out", str(out / "fit_linear")],
         ["cv", "--data", data, "--config", cfg, "--out", str(out / "cv"), "--eval-data", data],
+        ["cv", "--data", data, "--config",
+         write_config(tmp_path / "cfg_cv_mlp.json", dict(doc, model=nets["mlp"])),
+         "--out", str(out / "cv_mlp"), "--eval-data", data],
         ["simulate", "--config", complex_cfg, "--out", str(out / "sim"), "--with-oracle"],
     ] + [
         ["fit", "--data", data, "--config",

@@ -274,6 +274,25 @@ def reference_dloss_dtau(spec, tau_bar, y_star):
     return 2.0 * (ys - t)
 
 
+def reference_d2loss_dtau2(spec, tau_bar, y_star):
+    """``d2loss_dtau2`` as written before it joined the row workspace."""
+    tau_bar = np.asarray(tau_bar, dtype=float)
+    y_star = np.asarray(y_star, dtype=float)
+    if spec.family is Family.NORMAL:
+        resid = y_star - spec.cost - spec.scale * tau_bar
+        phi = PHI0 * np.exp(-0.5 * np.square(tau_bar))
+        return -phi * (tau_bar * resid + spec.scale)
+    if spec.family is Family.LOGISTIC:
+        G = expit(tau_bar)
+        g = G * expit(-tau_bar)
+        resid = y_star - spec.cost - spec.scale * tau_bar
+        return -g * ((2.0 * G - 1.0) * resid + spec.scale)
+    return np.broadcast_to(-2.0, np.broadcast_shapes(tau_bar.shape, y_star.shape)).copy()
+
+
+DERIVATIVES = ((dloss_dtau, reference_dloss_dtau), (d2loss_dtau2, reference_d2loss_dtau2))
+
+
 def same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want, dtype=float)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -298,16 +317,18 @@ def test_workspace_calls_match_allocating_calls_bitwise(spec, draw):
         q = loss_q(spec, t, y_star, work=work)
         assert same_bits(q, reference_loss_q(spec, t, y_star))
         assert same_bits(q, loss_q(spec, t, y_star))
-        # the slope of the array the last loss saw reuses that loss's shared term
+        # the slope and curvature of the array the last loss saw reuse that
+        # loss's shared term, and the curvature leaves the slope's buffer alone
         d = dloss_dtau(spec, t, y_star, work=work)
+        s = d2loss_dtau2(spec, t, y_star, work=work)
         assert same_bits(d, reference_dloss_dtau(spec, t, y_star))
+        assert same_bits(s, reference_d2loss_dtau2(spec, t, y_star))
         if k:
             # any other array recomputes it: no stale reuse, in either direction
             prev = trials[k - 1]
-            assert same_bits(
-                dloss_dtau(spec, prev, y_star, work=work), reference_dloss_dtau(spec, prev, y_star)
-            )
-            assert same_bits(dloss_dtau(spec, t, y_star, work=work), dloss_dtau(spec, t, y_star))
+            for fn, ref in DERIVATIVES:
+                assert same_bits(fn(spec, prev, y_star, work=work), ref(spec, prev, y_star))
+                assert same_bits(fn(spec, t, y_star, work=work), fn(spec, t, y_star))
             q = loss_q(spec, prev, y_star, work=work)
             assert same_bits(q, reference_loss_q(spec, prev, y_star))
 
@@ -315,7 +336,7 @@ def test_workspace_calls_match_allocating_calls_bitwise(spec, draw):
 @PROPERTY_SETTINGS
 @given(SPECS, st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _rows(7))
 def test_allocating_calls_keep_scalars_and_broadcasting(spec, tau_bar, y_star, row):
-    for fn, ref in ((loss_q, reference_loss_q), (dloss_dtau, reference_dloss_dtau)):
+    for fn, ref in ((loss_q, reference_loss_q), *DERIVATIVES):
         got = fn(spec, tau_bar, y_star)
         assert type(got) is float and same_bits(got, ref(spec, tau_bar, y_star))
         for t, ys in ((row, y_star), (tau_bar, row), (row[:, None], row), ([tau_bar], row)):
