@@ -259,11 +259,9 @@ def _loaded_linear(doc):
     spec = _spec_from_json(doc)
     theta = _finite_array(doc["theta"], "theta")
     design = doc.get("design")
-    if design is not None:  # parsed here, so a bad term names the file
-        if not isinstance(design, list):
-            raise ValueError(f"design {design!r} is not a list of terms")
-        if len(parse_design(design)) != len(theta):
-            raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
+    # parsed here, so a bad term names the file
+    if design is not None and len(parse_design(design)) != len(theta):
+        raise ValueError(f"{len(theta)} coefficients for {len(design)} design terms")
     return LoadedModel(
         kind="linear",
         is_cate=True,

@@ -32,7 +32,7 @@ from . import dataio, mlp, rng
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, generate
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_model
-from .linear import LinearFitConfig, build_design, fit_linear, transform_outcomes
+from .linear import LinearFitConfig, build_design, fit_linear, parse_design, transform_outcomes
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
 from .selection import (
     DEFAULT_SIGMA_GRID,
@@ -88,9 +88,11 @@ def _check_field(path, value, kind):
             _field_error(path, "expected a nonempty list")
         for i, v in enumerate(value):
             _check_field(f"{path}[{i}]", v, "sigma")
-    elif kind == "str_list":
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            _field_error(path, "expected a list of strings")
+    elif kind == "design":
+        try:
+            parse_design(value)
+        except ValueError as exc:  # int() of a 4,300-digit J raises a plain one
+            _field_error(path, str(exc))
     elif kind == "int_list":
         if not (isinstance(value, list) and all(_want_int(v) and v > 0 for v in value)):
             _field_error(path, "expected a list of positive integers")
@@ -150,7 +152,7 @@ CONFIG_SCHEMA = {
         "family": tuple(f.value for f in Family),
         "sigma": "sigma",
         "cost": "num",
-        "design": "str_list",
+        "design": "design",
         "max_iters": "pos_int",
         "grad_tol": "pos_num",
         "temperature": "pos_num",

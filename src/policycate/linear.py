@@ -184,22 +184,25 @@ def transform_outcomes(data: Dataset) -> TransformedDataset:
 
 def parse_design(terms):
     """The ``(J, P)`` pair of each design term: ``(None, None)`` for ``"1"`` (the
-    intercept), ``(J, None)`` for ``"xJ"`` (column J, 1-based) and ``(J, P)`` for
-    ``"xJ^P"`` (its integer power P >= 1).  Example: ``["1", "x1", "x1^2"]``.
-    :func:`build_design` checks that column J exists in the rows.
+    intercept), ``(J, None)`` for ``"xJ"`` (column J >= 1) and ``(J, P)`` for
+    ``"xJ^P"`` (power P >= 1), from a non-empty list or tuple of strings such as
+    ``["1", "x1", "x1^2"]`` (whitespace around a term is ignored).  The one check
+    of the grammar; only the rows can tell :func:`build_design` whether column J exists.
     """
+    if not isinstance(terms, (list, tuple)):
+        raise ValidationError(f"design {terms!r} is not a list of terms")
     parsed = []
     for term in terms:
         t = term.strip() if isinstance(term, str) else ""
-        base, _, power = t.partition("^")
+        base, caret, power = t.partition("^")
         if t == "1":
             parsed.append((None, None))
-        elif not (base.startswith("x") and base[1:].isdecimal()):
+        elif not (base.startswith("x") and base[1:].isdecimal() and int(base[1:]) >= 1):
             raise ValidationError(f"unrecognized design term {term!r}")
-        elif power and not (power.isdecimal() and int(power) >= 1):
+        elif caret and not (power.isdecimal() and int(power) >= 1):
             raise ValidationError(f"bad power in design term {term!r}")
         else:
-            parsed.append((int(base[1:]), int(power) if power else None))
+            parsed.append((int(base[1:]), int(power) if caret else None))
     if not parsed:
         raise ValidationError("design needs at least one term")
     return parsed
@@ -213,7 +216,7 @@ def build_design(x_raw, terms):
         if j is None:
             cols.append(np.ones(x_raw.shape[0]))
             continue
-        if not 1 <= j <= x_raw.shape[1]:
+        if j > x_raw.shape[1]:
             raise DimensionError(f"design term {term!r} exceeds {x_raw.shape[1]} columns")
         col = x_raw[:, j - 1]
         cols.append(col if power is None else col**power)
@@ -436,12 +439,12 @@ def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):
     """
     theta = np.asarray(theta, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    width = build_design(x[:0], design).shape[1] if design else x.shape[1]
+    width = x.shape[1] if design is None else build_design(x[:0], design).shape[1]
     if width != theta.shape[0]:
         raise DimensionError(f"x has {width} features, model expects {theta.shape[0]}")
     out = np.empty(x.shape[0])
     for start, stop in row_blocks(x.shape[0]):
-        xd = build_design(x[start:stop], design) if design else x[start:stop]
+        xd = x[start:stop] if design is None else build_design(x[start:stop], design)
         out[start:stop] = spec.unstandardize(xd @ theta)
     return out
 

@@ -179,13 +179,13 @@ def _as_float(out):
 
 def cdf(spec: SurrogateSpec, u):
     """Threshold distribution function F_C(u).  Accepts scalars or arrays."""
-    u = np.asarray(u, dtype=float)
+    z = spec.standardize(np.asarray(u, dtype=float))
     if spec.family is Family.NORMAL:
-        out = _Phi((u - spec.cost) / spec.scale)
+        out = _Phi(z)
     elif spec.family is Family.LOGISTIC:
-        out = special().expit((u - spec.cost) / spec.scale)
+        out = special().expit(z)
     else:
-        out = np.clip((u - spec.uniform_lo) / (spec.uniform_hi - spec.uniform_lo), 0.0, 1.0)
+        out = np.clip((z - spec.uniform_lo) / (spec.uniform_hi - spec.uniform_lo), 0.0, 1.0)
     return _as_float(out)
 
 
@@ -211,15 +211,13 @@ def partial_mean(spec: SurrogateSpec, tau):
     Equals F_C(tau) * kappa_C(tau) but never divides by F_C, so it is exact
     down to F_C = 0.
     """
-    tau = np.asarray(tau, dtype=float)
+    z = spec.standardize(np.asarray(tau, dtype=float))
     if spec.family is Family.NORMAL:
-        z = (tau - spec.cost) / spec.scale
         out = spec.cost * _Phi(z) - spec.scale * _phi(z)
     elif spec.family is Family.LOGISTIC:
-        z = (tau - spec.cost) / spec.scale
         out = spec.cost * special().expit(z) + spec.scale * _logistic_tail(z)
     else:
-        t = np.clip(tau, spec.uniform_lo, spec.uniform_hi)
+        t = np.clip(z, spec.uniform_lo, spec.uniform_hi)
         out = (np.square(t) - spec.uniform_lo**2) / (2.0 * (spec.uniform_hi - spec.uniform_lo))
     return _as_float(out)
 
@@ -234,14 +232,13 @@ def kappa(spec: SurrogateSpec, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(np.isneginf(tau)):
         raise DomainError("truncated mean undefined at tau = -inf")
+    z = spec.standardize(tau)
     if spec.family is Family.NORMAL:
-        z = (tau - spec.cost) / spec.scale
         # phi(z)/Phi(z) in log space stays accurate far into the lower tail
         log_cdf = special().log_ndtr(z)
         inv_mills = np.exp(-0.5 * np.square(z) - math.log(math.sqrt(2.0 * math.pi)) - log_cdf)
         out = spec.cost - spec.scale * inv_mills
     elif spec.family is Family.LOGISTIC:
-        z = (tau - spec.cost) / spec.scale
         # E[C | C <= tau] = cost + scale * (z - softplus(z) / G(z))
         out = spec.cost + spec.scale * (z - np.logaddexp(0.0, z) / special().expit(z))
     else:

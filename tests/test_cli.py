@@ -397,9 +397,12 @@ def saved_linear(tmp_path_factory):
 
 
 # a design the term grammar rejects, whatever the rows; each exited 2 without
-# naming the file, crashed, or (the object) scored as if it were the list
+# naming the file, crashed, or (the object, the empty power) scored as if it
+# were another design
 MALFORMED_DESIGNS = {
     "unknown-term": ["1", "z9"],
+    "column-zero": ["1", "x0"],
+    "empty-power": ["1", "x1^"],
     "non-string-term": ["1", 5],
     "string-not-list": "x1",
     "object-not-list": {"1": 0, "x1": 1},
@@ -420,6 +423,31 @@ def test_evaluate_linear_model_with_malformed_design_exits_3(
     out = tmp_path / "r.csv"
     assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
     assert "bad_linear.json: malformed linear model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a design the grammar rejects is a config error, whatever the model type;
+# before, a network ignored it and a linear fit read it after the data file
+# (the over-long column number escaped as a traceback)
+CONFIG_DESIGNS = {
+    "unknown-term": ["1", "z9"],
+    "empty-power": ["1", "x1^"],
+    "too-many-digits": ["1", "x" + "9" * 5000],
+}
+
+
+@pytest.mark.parametrize("model_type", ["linear", "mlp"])
+@pytest.mark.parametrize("design", CONFIG_DESIGNS.values(), ids=CONFIG_DESIGNS.keys())
+def test_malformed_config_design_exits_2_before_the_data_is_read(
+    tmp_path, capsys, model_type, design
+):
+    doc = base_config(model={"type": model_type, "design": design})
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    for command in ("fit", "cv"):
+        argv = [command, "--data", str(tmp_path / "missing.csv"), "--config", cfg]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error: model.design: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1001,7 +1029,9 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 # every threshold spec came from spec_for_sigma) pin the refit-per-replication
 # path, the sigma = inf spec and the curve's uniform bounds.  A cv --eval-data
 # run on the relu network (recorded before each config was checked once per
-# command) pins cv's network path.
+# command) pins cv's network path.  A logistic curve (recorded before cdf,
+# partial_mean and kappa standardized through SurrogateSpec.standardize) pins
+# the logistic branches of the scalar threshold functions.
 # Unlike the other files the networks depend on matrix products: they are
 # too small for a BLAS thread split, but a BLAS build that sums in another
 # order, or a numpy whose tanh kernel for this CPU rounds differently, would
@@ -1011,6 +1041,7 @@ GOLDEN_OUTPUT_SHA256 = {
     "curve/curve_sigma_inf.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
     "curve/curve_sigma_uniform.csv": "c6301956c1febcc667dcf32d4da1eb1443597d71dcf3c2eb7f59b9e253eba78c",
     "curve_bounds/curve_sigma_uniform.csv": "475f323913bfbe2793127506ea78045326694b74cd63f27ef838a14101ec87c4",
+    "curve_logistic/curve_sigma_0.5.csv": "9903a795f180bbee48558534d6dc7d1c838b1ea49f77b9638a78df8d99bf0d21",
     "cv/cv_result.json": "fafc0aa2690bda5dbb6f6c88d04302955caaff023f94fefca3f21eea2f62fcae",
     "cv/frontier.csv": "2b3776e29aa631ca0a1792797f983fdf76efda099e3e80d247348c39adec0b74",
     "cv/truth_frontier.csv": "43e6b11599e86555263cd72cf80b4330c292c01787c4757e21d379d7767b9527",
@@ -1079,6 +1110,8 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--replications", "2"],
         ["evaluate", "--model", "ols", "--config", cfg, "--out", str(out / "ols.csv"),
          "--replications", "2"],
+        ["curve", "--tau0", "2", "--cost", "1", "--family", "logistic", "--sigma", "0.5",
+         "--grid=-3:5:17", "--out", str(out / "curve_logistic")],
         ["curve", "--tau0", "2", "--cost", "1", "--family", "uniform", "--uniform-lo=-1",
          "--uniform-hi", "4", "--grid=-3:5:17", "--out", str(out / "curve_bounds")],
         ["fit", "--data", data, "--config", cfg, "--out", str(out / "fit_linear")],

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from policycate.linear import (
     build_design,
     fit_linear,
     ols_solution,
+    parse_design,
     policy_from_cate,
     predict_cate,
     predict_rows,
@@ -139,6 +141,59 @@ def test_build_design_terms():
         build_design(x, ["x3"])
     with pytest.raises(ValidationError):
         build_design(x, ["z1"])
+
+
+# the design grammar read independently: "1", "xJ" or "xJ^P" with J, P >= 1,
+# whitespace around a term ignored
+_TERM_GRAMMAR = re.compile(r" *(?:(1)|x0*([1-9][0-9]*)(?:\^0*([1-9][0-9]*))?) *")
+_GRAMMAR_TERMS = st.just("1") | st.builds(
+    lambda j, p: f"x{j}" if p is None else f"x{j}^{p}",
+    st.integers(1, 12),
+    st.none() | st.integers(1, 3),
+)
+_ANY_TERMS = (
+    _GRAMMAR_TERMS
+    | st.sampled_from(["x0", "x", "x1^0", "", "x1^", "z1", 5, None, 1.0])
+    | st.text(alphabet="x1^0 ", max_size=5)
+)
+_DESIGNS = st.one_of(
+    st.lists(_GRAMMAR_TERMS, min_size=1, max_size=5),
+    st.lists(_ANY_TERMS, max_size=5),
+    st.lists(_ANY_TERMS, max_size=5).map(tuple),
+    st.sampled_from(["x1", "1", {"1": 0, "x1": 1}, None, 3]),
+)
+
+
+def _grammar_pairs(design):
+    """The ``(J, P)`` pairs of a design in the grammar, by the regex; None outside it."""
+    if not (isinstance(design, (list, tuple)) and design):
+        return None
+    matches = [isinstance(t, str) and _TERM_GRAMMAR.fullmatch(t) for t in design]
+    if not all(matches):
+        return None
+    return [
+        (None, None) if m[1] else (int(m[2]), int(m[3]) if m[3] else None) for m in matches
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_DESIGNS, st.integers(1, 12))
+def test_parse_design_accepts_exactly_the_grammar(design, k):
+    rows = np.arange(1.0, 1.0 + 2 * k).reshape(2, k)
+    want = _grammar_pairs(design)
+    if want is None:
+        for parse in (parse_design, lambda d: build_design(rows, d)):
+            with pytest.raises(ValidationError) as excinfo:
+                parse(design)
+            assert excinfo.type is ValidationError  # not a DimensionError
+        return
+    assert parse_design(design) == want
+    if any(j is not None and j > k for j, _ in want):
+        with pytest.raises(DimensionError):
+            build_design(rows, design)
+        return
+    cols = [np.ones(2) if j is None else rows[:, j - 1] ** (p or 1) for j, p in want]
+    assert np.array_equal(build_design(rows, design), np.column_stack(cols))
 
 
 # ------------------------------------------------------------------ objective
@@ -469,6 +524,12 @@ def test_blocked_scoring_checks_the_width_first(n):
     with pytest.raises(DimensionError):  # a term past the last column
         predict_rows(np.ones(2), spec, np.ones((n, 2)), ["1", "x3"])
     assert predict_rows(np.ones(3), spec, np.ones((n, 3))).shape == (n,)
+
+
+def test_predict_rows_rejects_an_empty_design():
+    # an empty design is malformed, not "no design": the raw rows are not scored
+    with pytest.raises(ValidationError, match="design needs at least one term"):
+        predict_rows([0.5, 2.0], SurrogateSpec.normal(1.0, 1.0), [[1.0, 3.5]], design=[])
 
 
 def test_policy_from_cate_weak_inequality():
