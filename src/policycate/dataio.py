@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ValidationError
-from .linear import Dataset, LinearFitResult, parse_design, predict_rows, row_blocks
+from .errors import DataError, ValidationError
+from .linear import Dataset, LinearFitResult, parse_design, predict_rows, row_blocks, row_vector
 from .mlp import ACTIVATIONS, MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
 
@@ -81,11 +81,7 @@ def save_dataset(path, dataset: Dataset, tau_true=None):
     header = ["y", "w", "e"] + [f"x{j}" for j in range(1, dataset.k + 1)]
     cols = [dataset.y[:, None], dataset.w[:, None], dataset.e[:, None], dataset.x]
     if tau_true is not None:
-        tau_true = np.asarray(tau_true, dtype=float).ravel()
-        if tau_true.shape[0] != dataset.n:
-            raise DimensionError(
-                f"tau_true has {tau_true.shape[0]} values for a dataset of {dataset.n} rows"
-            )
+        tau_true = row_vector(tau_true, dataset.n, "tau_true")
         header.append("tau_true")
         cols.append(tau_true[:, None])
 
@@ -158,8 +154,8 @@ def load_dataset(path):
         tau.setflags(write=False)
     try:
         ds = Dataset(x=x, w=data[:, idx["w"]], y=data[:, idx["y"]], e=data[:, idx["e"]])
-        if tau is not None and not np.all(np.isfinite(tau)):
-            raise ValidationError("non-finite tau_true")
+        if tau is not None:
+            row_vector(tau, name="tau_true", finite=True)
     except Exception as exc:
         raise DataError(f"{path}: {exc}") from exc
     return ds, tau

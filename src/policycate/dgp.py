@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import ValidationError
-from .linear import Dataset, read_only
+from .linear import Dataset, read_only, row_vector
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,7 @@ class LabeledSample:
     tau_true: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_true, dtype=float).ravel()
-        if tau.shape[0] != self.dataset.n:
-            raise ValidationError("tau_true length must match the dataset")
-        if not np.all(np.isfinite(tau)):
-            raise ValidationError("non-finite tau_true")
+        tau = row_vector(self.tau_true, self.dataset.n, "tau_true", finite=True)
         object.__setattr__(self, "tau_true", read_only(tau))
 
 
@@ -125,7 +121,5 @@ gen_simple = gen_complex = generate
 
 def oracle_policy_value(sample: LabeledSample, policy, c: float) -> float:
     """Mean incremental profit of a 0/1 policy against the true effects."""
-    policy = np.asarray(policy, dtype=float).ravel()
-    if policy.shape[0] != sample.dataset.n:
-        raise ValidationError("policy length must match the sample")
+    policy = row_vector(policy, sample.dataset.n, "policy")
     return float(np.mean(policy * (sample.tau_true - c)))

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dgp import LabeledSample, oracle_policy_value
-from .errors import DimensionError, ValidationError
-from .linear import TransformedDataset, policy_from_cate
+from .errors import ValidationError
+from .linear import TransformedDataset, policy_from_cate, row_vector
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,14 @@ class EvalReport:
 
 def ipw_policy_value(td: TransformedDataset, policy, c: float) -> float:
     """Experimental-data policy value: mean of policy * (y* - c)."""
-    policy = np.asarray(policy, dtype=float).ravel()
-    if policy.shape[0] != td.n:
-        raise DimensionError("policy length must match the dataset")
+    policy = row_vector(policy, td.n, "policy")
     return float(np.mean(policy * (td.y_star - c)))
 
 
 def cate_mse(tau_hat, tau_true) -> float:
     """Mean squared error between predicted and true effects."""
-    tau_hat = np.asarray(tau_hat, dtype=float).ravel()
-    tau_true = np.asarray(tau_true, dtype=float).ravel()
-    if tau_hat.shape != tau_true.shape:
-        raise DimensionError("tau_hat and tau_true must have equal length")
+    tau_hat = row_vector(tau_hat)
+    tau_true = row_vector(tau_true, tau_hat.shape[0], "tau_true")
     return float(np.mean(np.square(tau_hat - tau_true)))
 
 
@@ -63,11 +59,9 @@ def qini_coefficient(scores, tau_true) -> float:
     through their ordering.  Identical scores rank nothing and return 0.0 by
     convention (random ordering has zero area in expectation).
     """
-    scores = np.asarray(scores, dtype=float).ravel()
-    tau_true = np.asarray(tau_true, dtype=float).ravel()
+    scores = row_vector(scores)
     n = scores.shape[0]
-    if tau_true.shape[0] != n:
-        raise DimensionError("scores and tau_true must have equal length")
+    tau_true = row_vector(tau_true, n, "tau_true")
     if n < 2:
         raise ValidationError("need at least two observations")
     if np.all(scores == scores[0]):
@@ -106,9 +100,7 @@ def evaluate_model(
     MSE is reported only for predictions that are CATEs; the ranking
     coefficient uses the raw predictions as scores.
     """
-    preds = np.asarray(predict(sample.dataset.x), dtype=float).ravel()
-    if preds.shape[0] != sample.dataset.n:
-        raise DimensionError("need one prediction per sample row")
+    preds = row_vector(predict(sample.dataset.x), sample.dataset.n, "predictions")
     profit = oracle_policy_value(sample, policy_from_cate(preds, c), c)
     mse = cate_mse(preds, sample.tau_true) if is_cate else None
     qini = qini_coefficient(preds, sample.tau_true)

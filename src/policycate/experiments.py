@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dataio, mlp, rng
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, generate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ValidationError
 from .evaluation import evaluate_model
 from .linear import LinearFitConfig, build_design, fit_linear, parse_design, transform_outcomes
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
@@ -91,7 +91,7 @@ def _check_field(path, value, kind):
     elif kind == "design":
         try:
             parse_design(value)
-        except ValueError as exc:  # int() of a 4,300-digit J raises a plain one
+        except ValidationError as exc:
             _field_error(path, str(exc))
     elif kind == "int_list":
         if not (isinstance(value, list) and all(_want_int(v) and v > 0 for v in value)):

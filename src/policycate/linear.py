@@ -25,7 +25,8 @@ Arrays stored on a ``Dataset``, ``TransformedDataset`` or fit result are
 read-only float64.  ``read_only`` keeps an array as it is when nothing can
 write to it any more, and copies it otherwise, so a caller hands an array
 over by sealing it (``a.setflags(write=False)``) and keeps a private copy
-of anything it leaves writable.
+of anything it leaves writable.  ``row_vector`` reads every per-row vector
+(an outcome, a policy, a prediction, an oracle effect) and checks its length.
 
 Scoring walks its rows in the blocks of ``row_blocks``, which
 ``predict_rows`` here, the network scoring in ``policycate.mlp`` and the
@@ -80,6 +81,21 @@ def read_only(a):
     return a
 
 
+def row_vector(a, n=None, name="values", finite=False):
+    """``a`` as a flat float64 vector, one value per row.
+
+    Given ``n``, any other length raises :class:`DimensionError` naming
+    ``name``; with ``finite``, a NaN or infinite value raises
+    :class:`ValidationError`.  A contiguous float64 array is not copied.
+    """
+    v = np.asarray(a, dtype=float).ravel()
+    if n is not None and v.shape[0] != n:
+        raise DimensionError(f"{name} has {v.shape[0]} values for {n} rows")
+    if finite and not np.all(np.isfinite(v)):
+        raise ValidationError(f"non-finite {name}")
+    return v
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One experiment: covariate rows, binary treatment, outcome, propensity.
@@ -101,14 +117,10 @@ class Dataset:
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        w = np.asarray(self.w, dtype=float).ravel()
-        y = np.asarray(self.y, dtype=float).ravel()
-        e = np.asarray(self.e, dtype=float).ravel()
         n = x.shape[0]
         if n < 1:
             raise ValidationError("need at least one observation")
-        if not (w.shape[0] == y.shape[0] == e.shape[0] == n):
-            raise DimensionError("x, w, y, e must share their first dimension")
+        w, y, e = row_vector(self.w, n, "w"), row_vector(self.y, n, "y"), row_vector(self.e, n, "e")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValidationError("non-finite covariates or outcomes")
         if not np.all((w == 0.0) | (w == 1.0)):
@@ -142,11 +154,7 @@ class TransformedDataset:
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        ys = np.asarray(self.y_star, dtype=float).ravel()
-        if x.shape[0] != ys.shape[0]:
-            raise DimensionError("x and y_star must share their first dimension")
-        if not np.all(np.isfinite(ys)):
-            raise ValidationError("non-finite transformed outcomes")
+        ys = row_vector(self.y_star, x.shape[0], "y_star", finite=True)
         object.__setattr__(self, "x", read_only(x))
         object.__setattr__(self, "y_star", read_only(ys))
 
@@ -182,6 +190,14 @@ def transform_outcomes(data: Dataset) -> TransformedDataset:
     return TransformedDataset(data.x, y_star)
 
 
+def _decimal(digits):
+    """``int(digits)``, or 0 when ``digits`` is not decimal or too long for ``int``."""
+    try:
+        return int(digits) if digits.isdecimal() else 0
+    except ValueError:
+        return 0
+
+
 def parse_design(terms):
     """The ``(J, P)`` pair of each design term: ``(None, None)`` for ``"1"`` (the
     intercept), ``(J, None)`` for ``"xJ"`` (column J >= 1) and ``(J, P)`` for
@@ -197,9 +213,9 @@ def parse_design(terms):
         base, caret, power = t.partition("^")
         if t == "1":
             parsed.append((None, None))
-        elif not (base.startswith("x") and base[1:].isdecimal() and int(base[1:]) >= 1):
+        elif not (base.startswith("x") and _decimal(base[1:]) >= 1):
             raise ValidationError(f"unrecognized design term {term!r}")
-        elif caret and not (power.isdecimal() and int(power) >= 1):
+        elif caret and not _decimal(power) >= 1:
             raise ValidationError(f"bad power in design term {term!r}")
         else:
             parsed.append((int(base[1:]), int(power) if caret else None))

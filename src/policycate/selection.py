@@ -32,7 +32,7 @@ from . import rng
 from .dgp import LabeledSample, oracle_policy_value
 from .errors import ValidationError
 from .evaluation import cate_mse, ipw_policy_value
-from .linear import LinearFitConfig, TransformedDataset, policy_from_cate
+from .linear import LinearFitConfig, TransformedDataset, policy_from_cate, row_vector
 from .surrogate import Family, SurrogateSpec
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, math.inf)
@@ -136,7 +136,7 @@ def kfold_cv(
         spec = spec_for_sigma(family, cost, sigma)
         rows = []
         for j, (td_train, td_held) in enumerate(splits):
-            preds = np.asarray(fit(td_train, spec)(td_held.x), dtype=float).ravel()
+            preds = row_vector(fit(td_train, spec)(td_held.x), td_held.n, "predictions")
             # the squared difference is the same in either order, bit for bit
             mse_proxy = cate_mse(preds, td_held.y_star)
             profit = ipw_policy_value(td_held, policy_from_cate(preds, cost), cost)
@@ -180,7 +180,7 @@ def frontier_sweep(
     for sigma in grid.values:
         spec = spec_for_sigma(family, cost, sigma)
         predictor = fit(td, spec)
-        preds = np.asarray(predictor(eval_sample.dataset.x), dtype=float).ravel()
+        preds = row_vector(predictor(eval_sample.dataset.x), eval_sample.dataset.n, "predictions")
         mse = cate_mse(preds, eval_sample.tau_true)
         profit = oracle_policy_value(eval_sample, policy_from_cate(preds, cost), cost)
         points.append(FrontierPoint(sigma=sigma, mse=mse, profit=profit))

@@ -1048,6 +1048,9 @@ GOLDEN_OUTPUT_SHA256 = {
     "cv_mlp/cv_result.json": "32f7f16f33fd6e111c6cad41b40f0be8d278e492058435562fbc4533c29567d6",
     "cv_mlp/frontier.csv": "24933023548b0c714e3d69390a9b2c7475b1e5a800f362e75544c8d3dab0e0af",
     "cv_mlp/truth_frontier.csv": "e579a6af2cfdf58c58057c28fb4167ce91a4125e97c1e0b196bb6138bd1371a6",
+    "eval_fit_linear.csv": "6d85d3f7ecb830c11fafaeea0634c33c613ffdea93686fe63b16cee8b542dfc2",
+    "eval_fit_mlp.csv": "93e0e087c8a57ab6c4d85e17d4045d6a6a49a421dad234bc5dfe0dc5e503aa32",
+    "eval_fit_policy.csv": "95888e8347ba3de82cf62c2b9f21e58fe4c30212b96f5a20b04854d1d622fe93",
     "fit_linear/model.json": "378b5cd09e664666b9419d0348e86f577ad34db45e43ead1da0f5e45e0472f0c",
     "fit_mlp/model.json": "22d8166e7637da396d727273d9f1b49776483ba475b3714e19ef7dc24a0766aa",
     "fit_mlp/training_log.csv": "514ce1ba05c6f2ccb1015c87c8dd6641815d8956dadf49420a9032d217702b49",
@@ -1125,6 +1128,11 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          write_config(tmp_path / f"cfg_{name}.json", dict(doc, model=model)),
          "--out", str(out / name)]
         for name, model in models.items()
+    ] + [
+        # evaluate_model on a reloaded linear model, a network and the policy rule
+        ["evaluate", "--model", str(out / name / "model.json"), "--config", cfg,
+         "--out", str(out / f"eval_{name}.csv")]
+        for name in ("fit_linear", "fit_mlp", "fit_policy")
     ]
     for argv in commands:
         assert main(argv) == 0

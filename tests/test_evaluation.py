@@ -1,9 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate.dgp import SimpleDgp, gen_complex, ComplexDgp, gen_simple
+from policycate import dataio
+from policycate.dgp import (
+    ComplexDgp,
+    LabeledSample,
+    SimpleDgp,
+    gen_complex,
+    gen_simple,
+    oracle_policy_value,
+)
 from policycate.errors import DimensionError, ValidationError
 from policycate.evaluation import (
     EvalReport,
@@ -12,7 +22,8 @@ from policycate.evaluation import (
     ipw_policy_value,
     qini_coefficient,
 )
-from policycate.linear import TransformedDataset, transform_outcomes
+from policycate.linear import Dataset, TransformedDataset, transform_outcomes
+from policycate.selection import SigmaGrid, frontier_sweep, kfold_cv
 
 
 def qini_of_order(order, tau):
@@ -179,3 +190,75 @@ def test_eval_report_validation():
         EvalReport(profit=0.0, mse=-1.0, qini=0.0, n_eval=10)
     with pytest.raises(ValidationError):
         EvalReport(profit=0.0, mse=None, qini=0.0, n_eval=0)
+
+
+# ----------------------------------------------------------- per-row vectors
+
+
+def _row_rule_entry_points(tmp_path):
+    """``name -> (argument, call)``: ``call(form)`` runs the entry point with one
+    per-row vector passed through ``form`` and returns a comparable result."""
+    sample = gen_simple(SimpleDgp(), 40, seed=5)
+    ds, tau = sample.dataset, sample.tau_true
+    td = transform_outcomes(ds)
+    policy = (tau >= 1.0).astype(float)
+    grid = SigmaGrid((1.0,))
+
+    def dataset(field):
+        def call(form):
+            fields = {"x": ds.x, "w": ds.w, "y": ds.y, "e": ds.e}
+            got = Dataset(**dict(fields, **{field: form(fields[field])}))
+            return got.w.tobytes(), got.y.tobytes(), got.e.tobytes()
+
+        return field, call
+
+    def predictor(form):
+        return lambda x: form(x[:, 0] + 0.5)
+
+    def fit(form):
+        return lambda td_train, spec: predictor(form)
+
+    def saved(form):
+        dataio.save_dataset(tmp_path / "d.csv", ds, form(tau))
+        return (tmp_path / "d.csv").read_bytes()
+
+    return {
+        "Dataset.w": dataset("w"),
+        "Dataset.y": dataset("y"),
+        "Dataset.e": dataset("e"),
+        "TransformedDataset": (
+            "y_star",
+            lambda form: TransformedDataset(td.x, form(td.y_star)).y_star.tobytes(),
+        ),
+        "LabeledSample": ("tau_true", lambda form: LabeledSample(ds, form(tau)).tau_true.tobytes()),
+        "ipw_policy_value": ("policy", lambda form: ipw_policy_value(td, form(policy), 1.0)),
+        "cate_mse": ("tau_true", lambda form: cate_mse(tau + 0.5, form(tau))),
+        "qini_coefficient": ("tau_true", lambda form: qini_coefficient(-tau, form(tau))),
+        "oracle_policy_value": (
+            "policy",
+            lambda form: oracle_policy_value(sample, form(policy), 1.0),
+        ),
+        "evaluate_model": (
+            "predictions",
+            lambda form: evaluate_model(predictor(form), sample, 1.0, True),
+        ),
+        "save_dataset": ("tau_true", saved),
+        "kfold_cv": (
+            "predictions",
+            lambda form: kfold_cv(td, grid, 2, "normal", fit(form), seed=0),
+        ),
+        "frontier_sweep": (
+            "predictions",
+            lambda form: frontier_sweep(td, grid, sample, fit(form), "normal"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry_point", sorted(_row_rule_entry_points(None)))
+def test_every_per_row_vector_follows_one_rule(tmp_path, entry_point):
+    argument, call = _row_rule_entry_points(tmp_path)[entry_point]
+    flat = call(lambda v: v)
+    assert call(lambda v: v.reshape(-1, 1)) == flat  # an (n, 1) column reads as its flat form
+    message = rf"^{re.escape(argument)} has \d+ values for \d+ rows$"
+    with pytest.raises(DimensionError, match=message):
+        call(lambda v: np.append(v, v[0]))  # one value too many

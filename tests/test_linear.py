@@ -532,6 +532,14 @@ def test_predict_rows_rejects_an_empty_design():
         predict_rows([0.5, 2.0], SurrogateSpec.normal(1.0, 1.0), [[1.0, 3.5]], design=[])
 
 
+# int() refuses strings of more than 4,300 digits with a plain ValueError
+@pytest.mark.parametrize("term", ["x" + "9" * 5000, "x1^" + "9" * 5000], ids=["column", "power"])
+def test_parse_design_rejects_a_number_too_long_to_read(term):
+    with pytest.raises(ValidationError) as excinfo:
+        parse_design(["1", term])
+    assert excinfo.type is ValidationError
+
+
 def test_policy_from_cate_weak_inequality():
     assert policy_from_cate([1.0], 1.0).tolist() == [1]
     assert policy_from_cate([1.0 - 1e-12], 1.0).tolist() == [0]
