@@ -6,6 +6,7 @@ from .errors import (
     DimensionError,
     DomainError,
     NonFiniteLossError,
+    NumericalError,
     OverlapError,
     PolicyCateError,
     SearchError,

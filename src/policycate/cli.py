@@ -1,7 +1,8 @@
 """Command-line driver: simulate, fit, evaluate, cv, curve, table2.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success; a package error exits with its family's
+``exit_code`` (2 configuration error, 3 data error, 4 numerical failure),
+and an ``OSError`` exits 3 as a data error.
 """
 
 from __future__ import annotations
@@ -11,22 +12,8 @@ import json
 import sys
 
 from . import dataio, experiments
-from .errors import (
-    ConfigError,
-    DataError,
-    DomainError,
-    NonFiniteLossError,
-    OverlapError,
-    SearchError,
-    SingularDesignError,
-    SingularHessianError,
-    ValidationError,
-)
+from .errors import ConfigError, PolicyCateError
 from .surrogate import Family
-
-_CONFIG_EXIT = 2
-_DATA_EXIT = 3
-_NUMERIC_EXIT = 4
 
 
 def _load_config(path, *sections):
@@ -191,24 +178,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _CONFIG_EXIT
-    except (DataError, OSError, OverlapError) as exc:
+    except PolicyCateError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return _DATA_EXIT
-    except (
-        DomainError,
-        SearchError,
-        SingularDesignError,
-        SingularHessianError,
-        NonFiniteLossError,
-    ) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _NUMERIC_EXIT
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _CONFIG_EXIT
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -191,19 +191,22 @@ def _spec_from_json(doc) -> SurrogateSpec:
     return SurrogateSpec(family, doc["cost"], doc["sigma"])
 
 
+def _floats(v):
+    """A vector as a JSON list of numbers; None stays None."""
+    return None if v is None else [float(x) for x in v]
+
+
 def save_linear_fit(path, result: LinearFitResult, design=None):
     doc = {
         "kind": "linear",
         **_spec_to_json(result.spec),
         "design": list(design) if design is not None else None,
-        "theta": [float(v) for v in result.theta],
-        "theta_external": [float(v) for v in result.theta_external],
+        "theta": _floats(result.theta),
+        "theta_external": _floats(result.theta_external),
         "converged": result.converged,
         "iters": result.iters,
         "final_gradient_norm": result.final_gradient_norm,
-        "std_errors": None
-        if result.std_errors is None
-        else [float(v) for v in result.std_errors],
+        "std_errors": _floats(result.std_errors),
     }
     write_json(path, doc)
 

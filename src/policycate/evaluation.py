@@ -33,7 +33,8 @@ class EvalReport:
     def __post_init__(self):
         if self.n_eval < 1:
             raise ValidationError("n_eval must be >= 1")
-        if self.mse is not None and self.mse < 0:
+        # written so that a NaN mse fails it
+        if self.mse is not None and not self.mse >= 0:
             raise ValidationError("mse must be nonnegative")
 
 
@@ -47,6 +48,8 @@ def cate_mse(tau_hat, tau_true) -> float:
     """Mean squared error between predicted and true effects."""
     tau_hat = row_vector(tau_hat)
     tau_true = row_vector(tau_true, tau_hat.shape[0], "tau_true")
+    if tau_hat.shape[0] < 1:
+        raise ValidationError("need at least one observation")
     return float(np.mean(np.square(tau_hat - tau_true)))
 
 
@@ -100,7 +103,7 @@ def evaluate_model(
     MSE is reported only for predictions that are CATEs; the ranking
     coefficient uses the raw predictions as scores.
     """
-    preds = row_vector(predict(sample.dataset.x), sample.dataset.n, "predictions")
+    preds = row_vector(predict(sample.dataset.x), sample.dataset.n, "predictions", finite=True)
     profit = oracle_policy_value(sample, policy_from_cate(preds, c), c)
     mse = cate_mse(preds, sample.tau_true) if is_cate else None
     qini = qini_coefficient(preds, sample.tau_true)

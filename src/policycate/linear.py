@@ -100,9 +100,9 @@ def row_vector(a, n=None, name="values", finite=False):
 class Dataset:
     """One experiment: covariate rows, binary treatment, outcome, propensity.
 
-    ``x`` may be raw covariates or an already-built design matrix (by
-    convention the first design column is an intercept).  Propensities must
-    respect the overlap band (eps, 1 - eps) with eps = 1e-6.
+    ``x`` may be raw covariates or an already-built design matrix.
+    Propensities must respect the overlap band (eps, 1 - eps) with
+    eps = 1e-6.
 
     Each field is stored through ``read_only``: a sealed float64 array whose
     owner is sealed too is shared, so a 1e6-row draw is not held twice, and
@@ -275,8 +275,13 @@ class SandwichCovariance:
 
 @dataclass(frozen=True)
 class LinearFitResult:
+    """A linear fit.  ``theta`` is on the internal scale; ``theta_external``
+    holds money-scale coefficients, ``x @ theta_external`` the money-scale
+    CATE, with the cost on the design's all-ones column.  It is None for a
+    normal or logistic fit on a design without one."""
+
     theta: np.ndarray
-    theta_external: np.ndarray
+    theta_external: Optional[np.ndarray]
     spec: sg.SurrogateSpec
     converged: bool
     iters: int
@@ -304,12 +309,15 @@ def surrogate_gradient(theta, td: TransformedDataset, spec: sg.SurrogateSpec):
     return td.x.T @ np.asarray(sg.dloss_dtau(spec, scores, td.y_star)) / td.n
 
 
-def _external_map(theta, spec):
+def _external_map(theta, spec, x):
     if spec.family is sg.Family.UNIFORM:
-        return theta.copy()
+        return read_only(theta)
+    ones = next((j for j in range(x.shape[1]) if np.all(x[:, j] == 1.0)), None)
+    if ones is None:
+        return None
     ext = spec.scale * theta
-    ext[0] = ext[0] + spec.cost  # first column is the intercept by convention
-    return ext
+    ext[ones] += spec.cost
+    return read_only(ext)
 
 
 def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
@@ -385,7 +393,7 @@ def fit_linear(td: TransformedDataset, cfg: LinearFitConfig) -> LinearFitResult:
             pass  # report the fit without inference
     return LinearFitResult(
         theta=read_only(theta),
-        theta_external=read_only(_external_map(theta, spec)),
+        theta_external=_external_map(theta, spec, x),
         spec=spec,
         converged=bool(converged),
         iters=iters,

@@ -136,7 +136,9 @@ def kfold_cv(
         spec = spec_for_sigma(family, cost, sigma)
         rows = []
         for j, (td_train, td_held) in enumerate(splits):
-            preds = row_vector(fit(td_train, spec)(td_held.x), td_held.n, "predictions")
+            preds = row_vector(
+                fit(td_train, spec)(td_held.x), td_held.n, "predictions", finite=True
+            )
             # the squared difference is the same in either order, bit for bit
             mse_proxy = cate_mse(preds, td_held.y_star)
             profit = ipw_policy_value(td_held, policy_from_cate(preds, cost), cost)
@@ -180,7 +182,9 @@ def frontier_sweep(
     for sigma in grid.values:
         spec = spec_for_sigma(family, cost, sigma)
         predictor = fit(td, spec)
-        preds = row_vector(predictor(eval_sample.dataset.x), eval_sample.dataset.n, "predictions")
+        preds = row_vector(
+            predictor(eval_sample.dataset.x), eval_sample.dataset.n, "predictions", finite=True
+        )
         mse = cate_mse(preds, eval_sample.tau_true)
         profit = oracle_policy_value(eval_sample, policy_from_cate(preds, cost), cost)
         points.append(FrontierPoint(sigma=sigma, mse=mse, profit=profit))

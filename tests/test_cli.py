@@ -263,6 +263,34 @@ def test_every_package_error_exits_with_its_label(monkeypatch, capsys, error):
     assert capsys.readouterr().err == f"{_EXIT_LABELS[code]}: boom\n"
 
 
+# each class's exit code and the built-in exception it also is, if any
+ERROR_EXITS = {
+    "ConfigError": (2, None),
+    "ValidationError": (2, ValueError),
+    "DimensionError": (2, ValueError),
+    "DataError": (3, None),
+    "OverlapError": (3, ValueError),
+    "DomainError": (4, None),
+    "SearchError": (4, None),
+    "SingularDesignError": (4, None),
+    "SingularHessianError": (4, None),
+    "NonFiniteLossError": (4, FloatingPointError),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_EXITS)
+def test_each_error_class_keeps_its_exit_code_and_builtin_base(monkeypatch, name):
+    error = getattr(errors, name)
+    code, builtin = ERROR_EXITS[name]
+
+    def failing_run(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_run", failing_run)
+    assert main(["table2"]) == code
+    assert builtin is None or issubclass(error, builtin)
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
 

@@ -168,6 +168,19 @@ def test_linear_model_roundtrip(tmp_path):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_linear_model_without_an_intercept_writes_null_theta_external(tmp_path):
+    # the cost has no all-ones column to go on; the model still reloads and scores
+    sample = sample_dataset()
+    design = ["x1", "x1^2"]
+    td = transform_outcomes(sample.dataset).with_design(build_design(sample.dataset.x, design))
+    res = fit_linear(td, LinearFitConfig(spec=SurrogateSpec.normal(1.0, 1.0)))
+    path = tmp_path / "model.json"
+    dataio.save_linear_fit(path, res, design=design)
+    assert json.loads(path.read_text())["theta_external"] is None
+    got = dataio.load_model(path).predict(sample.dataset.x)
+    assert got.tobytes() == predict_cate(res, td.x).tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),

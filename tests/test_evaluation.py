@@ -86,6 +86,12 @@ def test_cate_mse_values():
         cate_mse(tau, tau[:2])
 
 
+def test_cate_mse_rejects_empty_input():
+    # the mean of no rows is NaN, which no caller could tell from a real score
+    with pytest.raises(ValidationError, match="need at least one observation"):
+        cate_mse([], [])
+
+
 # ---------------------------------------------------------------------- qini
 
 
@@ -189,6 +195,8 @@ def test_eval_report_validation():
     with pytest.raises(ValidationError):
         EvalReport(profit=0.0, mse=-1.0, qini=0.0, n_eval=10)
     with pytest.raises(ValidationError):
+        EvalReport(profit=0.0, mse=np.nan, qini=0.0, n_eval=10)
+    with pytest.raises(ValidationError):
         EvalReport(profit=0.0, mse=None, qini=0.0, n_eval=0)
 
 
@@ -262,3 +270,20 @@ def test_every_per_row_vector_follows_one_rule(tmp_path, entry_point):
     message = rf"^{re.escape(argument)} has \d+ values for \d+ rows$"
     with pytest.raises(DimensionError, match=message):
         call(lambda v: np.append(v, v[0]))  # one value too many
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    sorted(name for name, (arg, _) in _row_rule_entry_points(None).items() if arg == "predictions"),
+)
+def test_non_finite_predictions_are_rejected(tmp_path, entry_point):
+    # a NaN prediction scores as "do not treat", and its mse would read NaN
+    _, call = _row_rule_entry_points(tmp_path)[entry_point]
+
+    def one_nan(v):
+        v = v.copy()
+        v[0] = np.nan
+        return v
+
+    with pytest.raises(ValidationError, match="^non-finite predictions$"):
+        call(one_nan)

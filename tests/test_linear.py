@@ -546,10 +546,21 @@ def test_policy_from_cate_weak_inequality():
     assert policy_from_cate([0.0, 1.0, 2.0], 1.0).tolist() == [0, 1, 1]
 
 
-def test_external_map_matches_unstandardize():
+# the design's columns in order: random_td puts the intercept (column 0) first
+INTERCEPT_AT = {"first": [0, 1, 2], "middle": [1, 0, 2], "last": [1, 2, 0], "none": [1, 2]}
+
+
+@pytest.mark.parametrize("family", ["logistic", "normal"])
+@pytest.mark.parametrize("intercept", INTERCEPT_AT)
+def test_external_map_matches_unstandardize(intercept, family):
     rng = np.random.default_rng(15)
     td = random_td(rng, n=200, k=3)
-    spec = SurrogateSpec.logistic(0.5, 1.5)
+    td = td.with_design(td.x[:, INTERCEPT_AT[intercept]])
+    spec = spec_for_sigma(family, 0.5, 1.5)
     res = fit_linear(td, LinearFitConfig(spec=spec))
-    # with an intercept column, x @ theta_external equals the money-scale CATE
-    assert td.x @ res.theta_external == pytest.approx(predict_cate(res, td.x))
+    if intercept == "none":
+        # the cost has no column to go on, so no money-scale map exists
+        assert res.theta_external is None
+    else:
+        # x @ theta_external equals the money-scale CATE
+        assert td.x @ res.theta_external == pytest.approx(predict_cate(res, td.x))
