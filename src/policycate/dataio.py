@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, require
 from .linear import Dataset, LinearFitResult, parse_design, predict_rows, row_blocks, row_vector
 from .mlp import ACTIVATIONS, MlpModel, predict_mlp
 from .surrogate import Family, SurrogateSpec
@@ -275,10 +275,8 @@ def _loaded_mlp(doc):
     every number must be finite, with each ``x_sd`` positive.
     """
     head, activation = doc["head"], doc["activation"]
-    if head not in ("surrogate", "policy"):
-        raise ValueError(f"head {head!r} is not 'surrogate' or 'policy'")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"activation {activation!r} is not one of {ACTIVATIONS}")
+    require(head, ("surrogate", "policy"), "head", ValueError)
+    require(activation, ACTIVATIONS, "activation", ValueError)
     x_mean = _finite_array(doc["x_mean"], "x_mean")
     x_sd = _finite_array(doc["x_sd"], "x_sd")
     if len(x_sd) != len(x_mean) or not np.all(x_sd > 0):

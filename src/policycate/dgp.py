@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import rng
-from .errors import ValidationError
+from .errors import require
 from .linear import Dataset, read_only, row_vector
 
 
@@ -44,8 +44,8 @@ class _Dgp:
     dim: ClassVar[int]
 
     def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ValidationError("noise_sd must be nonnegative")
+        require(self.noise_sd, "nonneg_num", "noise_sd")
+        require(self.cost, "num", "cost")
 
     def outcome(self, x, effect):
         """The noise-free outcome of rows ``x`` given ``effect = w * tau``; no untreated mean."""
@@ -101,8 +101,7 @@ class LabeledSample:
 
 def generate(dgp: SimpleDgp | ComplexDgp, n: int, seed: int) -> LabeledSample:
     """``n`` rows of ``dgp``'s experiment: x ~ U(-1, 2)^dim, w ~ Bernoulli(1/2)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require(n, "pos_int", "n")
     rng_x, rng_w, rng_e = rng.streams(seed, 3)
     # an (n, 1) draw holds the same values in the same order as a length-n one
     x = rng_x.uniform(-1.0, 2.0, size=(n, dgp.dim))

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dgp import LabeledSample, oracle_policy_value
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .linear import TransformedDataset, policy_from_cate, row_vector
 
 
@@ -31,8 +31,7 @@ class EvalReport:
     model_tag: str = ""
 
     def __post_init__(self):
-        if self.n_eval < 1:
-            raise ValidationError("n_eval must be >= 1")
+        require(self.n_eval, "pos_int", "n_eval")
         # written so that a NaN mse fails it
         if self.mse is not None and not self.mse >= 0:
             raise ValidationError("mse must be nonnegative")

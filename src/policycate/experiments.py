@@ -1,8 +1,8 @@
 """Config-driven experiment runners behind the command-line interface.
 
-A single JSON document configures every command; unknown keys are rejected
-with dotted-path diagnostics, and every number must be finite (JSON's NaN
-and Infinity are rejected; "inf" is the one spelling of an infinite sigma).
+A single JSON document configures every command.  On reading, unknown keys
+are rejected with dotted-path diagnostics, and each value meets the rule that
+its class applies too (``errors.RULES``; "inf" is the one infinite sigma).
 Sections:
 
   dgp        name ("simple" | "complex"), n, seed, optional replications,
@@ -28,9 +28,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import dataio, mlp, rng
+from . import dataio, linear, mlp, rng
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, generate
-from .errors import ConfigError, DataError, ValidationError
+from .errors import ConfigError, DataError, ValidationError, require
 from .evaluation import evaluate_model
 from .linear import LinearFitConfig, build_design, fit_linear, parse_design, transform_outcomes
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
@@ -48,99 +48,49 @@ from .surrogate import Family, ScalarSurrogateProblem, objective_curve
 # ------------------------------------------------------------- config schema
 
 
-def _want_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _want_num(v):
-    """A finite int or float; a bool is not a number here."""
-    return math.isfinite(v) if isinstance(v, float) else _want_int(v)
-
-
-def _field_error(path, msg):
-    raise ConfigError(f"{path}: {msg}")
+def _blame(path, error, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ``ValidationError`` becomes ``error`` naming ``path``."""
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def _check_field(path, value, kind):
-    if kind == "pos_int":
-        if not (_want_int(value) and value > 0):
-            _field_error(path, "expected a positive integer")
-    elif kind == "int":
-        if not _want_int(value):
-            _field_error(path, "expected an integer")
-    elif kind == "num":
-        if not _want_num(value):
-            _field_error(path, "expected a number")
-    elif kind == "nonneg_num":
-        if not (_want_num(value) and value >= 0):
-            _field_error(path, "expected a nonnegative number")
-    elif kind == "pos_num":
-        if not (_want_num(value) and value > 0):
-            _field_error(path, "expected a positive number")
-    elif kind == "bool":
-        if not isinstance(value, bool):
-            _field_error(path, "expected a boolean")
-    elif kind == "sigma":
-        if not (value == "inf" or (_want_num(value) and value > 0)):
-            _field_error(path, 'expected a positive number or "inf"')
-    elif kind == "sigma_list":
-        if not (isinstance(value, list) and value):
-            _field_error(path, "expected a nonempty list")
-        for i, v in enumerate(value):
-            _check_field(f"{path}[{i}]", v, "sigma")
-    elif kind == "design":
-        try:
-            parse_design(value)
-        except ValidationError as exc:
-            _field_error(path, str(exc))
-    elif kind == "int_list":
-        if not (isinstance(value, list) and all(_want_int(v) and v > 0 for v in value)):
-            _field_error(path, "expected a list of positive integers")
-    elif isinstance(kind, tuple):  # choices
-        if value not in kind:
-            _field_error(path, f"expected one of {list(kind)}")
-    elif kind == "str":
-        if not isinstance(value, str):
-            _field_error(path, "expected a string")
-    elif isinstance(kind, dict):  # a nested object, such as an mlp block
+    """Check one value by its ``errors.RULES`` kind, its schema or its rule's owner."""
+    if isinstance(kind, dict):  # a nested object, such as an mlp block
         _check_object(path, value, kind)
-    else:  # pragma: no cover - schema authoring error
-        raise AssertionError(f"unknown schema kind {kind}")
+    elif kind == "design":
+        _blame(path, ConfigError, parse_design, value)
+    elif kind == "sigma_list":
+        require(value, "list", path, ConfigError)
+        for i, v in enumerate(value):
+            require(v, "sigma", f"{path}[{i}]", ConfigError)
+        _blame(path, ConfigError, SigmaGrid, tuple(value))
+    else:
+        require(value, kind, path, ConfigError)
+        if kind == "seed":
+            _blame(path, ConfigError, rng.streams, value, 0)
 
 
 def _check_object(path, value, schema):
     """Check one config object against its schema; unknown fields are errors."""
-    if not isinstance(value, dict):
-        _field_error(path, "expected an object")
+    require(value, "object", path, ConfigError)
     for field in schema.get("__required__", ()):
         if field not in value:
-            _field_error(f"{path}.{field}", "required field is missing")
+            raise ConfigError(f"{path}.{field}: required field is missing")
     for field, item in value.items():
         if field == "__required__" or field not in schema:
-            _field_error(f"{path}.{field}", "unknown field")
+            raise ConfigError(f"{path}.{field}: unknown field")
         _check_field(f"{path}.{field}", item, schema[field])
 
-
-_MLP_FIELDS = {
-    "hidden_sizes": "int_list",
-    "activation": mlp.ACTIVATIONS,
-    "weight_decay": "nonneg_num",
-    "dropout_rate": "nonneg_num",
-    "grad_clip_norm": "pos_num",
-    "batch_size": "pos_int",
-    "learning_rate": "pos_num",
-    "max_epochs": "pos_int",
-    "early_stop_patience": "pos_int",
-    "validation_fraction": "pos_num",
-    "seed": "int",
-}
 
 CONFIG_SCHEMA = {
     "dgp": {
         "__required__": ("name", "n", "seed"),
         "name": ("simple", "complex"),
         "n": "pos_int",
-        "seed": "int",
+        "seed": "seed",
         "replications": "pos_int",
         "noise_sd": "nonneg_num",
         "cost": "num",
@@ -156,32 +106,32 @@ CONFIG_SCHEMA = {
         "max_iters": "pos_int",
         "grad_tol": "pos_num",
         "temperature": "pos_num",
-        "mlp": _MLP_FIELDS,
+        "mlp": mlp.MLP_FIELDS,
     },
     "evaluation": {
         "__required__": ("n",),
         "n": "pos_int",
-        "seed": "int",
+        "seed": "seed",
     },
     "selection": {
         "__required__": (),
         "grid": "sigma_list",
-        "folds": "pos_int",
-        "seed": "int",
+        "folds": "folds",
+        "seed": "seed",
     },
     "table2": {
         "__required__": (),
         "replications": "pos_int",
         "train_n": "pos_int",
-        "train_seed": "int",
+        "train_seed": "seed",
         "eval_n": "pos_int",
-        "eval_seed": "int",
+        "eval_seed": "seed",
         "linear_grid": "sigma_list",
-        "linear_folds": "pos_int",
+        "linear_folds": "folds",
         "mlp_grid": "sigma_list",
-        "mlp_folds": "pos_int",
+        "mlp_folds": "folds",
         "policy_temperature": "pos_num",
-        "mlp": _MLP_FIELDS,
+        "mlp": mlp.MLP_FIELDS,
     },
     "output": {
         "__required__": (),
@@ -192,8 +142,7 @@ CONFIG_SCHEMA = {
 
 def validate_config(doc, required_sections=()):
     """Schema-check a config document (unknown keys are errors); the runners trust it."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root: expected an object")
+    require(doc, "object", "config root", ConfigError)
     for key in doc:
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{key}: unknown config section")
@@ -226,6 +175,12 @@ def _default_design(k):
 def _solver_options(model_cfg):
     """The linear solver knobs a ``model`` section sets, for ``fit`` and ``cv`` alike."""
     return {k: model_cfg[k] for k in ("max_iters", "grad_tol") if k in model_cfg}
+
+
+def _check_seeds(first, count):
+    """Check the consecutive seeds ``first .. first + count - 1`` by their ends, before any draw."""
+    rng.streams(first, 0)
+    rng.streams(first + count - 1, 0)
 
 
 def _mean_sd(reports):
@@ -262,10 +217,7 @@ def run_simulate(cfg, out_dir, with_oracle=False, replications=None, seed=None):
     reps = int(replications if replications is not None else section.get("replications", 1))
     base_seed = int(seed if seed is not None else section["seed"])
     n = section["n"]
-    # the seeds are consecutive, so checking both ends before the first draw
-    # checks them all and a bad one leaves no files behind
-    rng.streams(base_seed, 0)
-    rng.streams(base_seed + reps - 1, 0)
+    _check_seeds(base_seed, reps)  # so a bad one leaves no files behind
     paths = []
     for r in range(reps):
         rep_seed = base_seed + r
@@ -332,6 +284,11 @@ def _training_draw(dgp, n, seed):
     return td, lin_fit, lin_fit(td, spec_for_sigma("normal", dgp.cost, math.inf))
 
 
+def _file_predict(predict, path, x):
+    """A model file's predictions for rows ``x``; a non-finite one is the file's fault."""
+    return _blame(path, DataError, linear.row_vector, predict(x), name="predictions", finite=True)
+
+
 def run_evaluate(cfg, model_arg, out_path, replications=None):
     """Score a saved model or builtin tag on fresh oracle-labeled draws.
 
@@ -347,6 +304,9 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
     eval_n = cfg["evaluation"]["n"]
     eval_seed = int(cfg["evaluation"].get("seed", TABLE2_DEFAULTS["eval_seed"]))
     reps = int(replications) if replications else 1
+    _check_seeds(eval_seed, reps)
+    if model_arg == "ols":
+        _check_seeds(cfg["dgp"]["seed"], reps)
     cost = dgp.cost
     builtins = _builtin_models(dgp)
 
@@ -357,7 +317,8 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
         is_cate = True  # the predictor is refit for each replication below
     else:
         loaded = dataio.load_model(model_arg)
-        predictor, is_cate = loaded.predict, loaded.is_cate
+        predictor = functools.partial(_file_predict, loaded.predict, model_arg)
+        is_cate = loaded.is_cate
         if not is_cate:
             predictor = functools.partial(_policy_score, predictor, cost)
         tag = os.path.splitext(os.path.basename(model_arg))[0]
@@ -411,6 +372,8 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
         eval_sample = LabeledSample(dataset=eval_ds, tau_true=eval_tau)
 
     cv = kfold_cv(td, grid, folds, family, fit, seed=seed, cost=cost)
+    if eval_sample is not None:  # swept before any file is written, so a failed run writes none
+        points = frontier_sweep(td, grid, eval_sample, fit, family, cost=cost)
     cv_path = os.path.join(out_dir, "cv_result.json")
     dataio.write_cv_json(cv_path, cv)
     frontier_path = os.path.join(out_dir, "frontier.csv")
@@ -418,7 +381,6 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
 
     out = {"cv_path": cv_path, "frontier_path": frontier_path, "cv": cv}
     if eval_sample is not None:
-        points = frontier_sweep(td, grid, eval_sample, fit, family, cost=cost)
         truth_path = os.path.join(out_dir, "truth_frontier.csv")
         dataio.write_frontier_csv(truth_path, points)
         out["truth_frontier_path"] = truth_path
@@ -520,6 +482,7 @@ def _table2_params(cfg, replications=None, seed=None):
     params = {**TABLE2_DEFAULTS, **user, **flags, "mlp": mlp}
     params["linear_grid"] = SigmaGrid(tuple(params["linear_grid"]))
     params["mlp_grid"] = SigmaGrid(tuple(params["mlp_grid"]))
+    _check_seeds(params["train_seed"], params["replications"])
     dgp = _dgp_from_config(cfg) if "dgp" in cfg else ComplexDgp()
     if not isinstance(dgp, ComplexDgp):
         raise ConfigError("dgp.name: the benchmark table uses the complex generator")

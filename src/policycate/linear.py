@@ -47,6 +47,7 @@ from .errors import (
     SingularDesignError,
     SingularHessianError,
     ValidationError,
+    require,
 )
 
 OVERLAP_EPS = 1e-6
@@ -257,10 +258,8 @@ class LinearFitConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be positive")
-        if not self.grad_tol > 0:
-            raise ValidationError("grad_tol must be positive")
+        require(self.max_iters, "pos_int", "max_iters")
+        require(self.grad_tol, "pos_num", "grad_tol")
 
 
 @dataclass(frozen=True)

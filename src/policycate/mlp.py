@@ -62,11 +62,26 @@ import numpy as np
 
 from . import rng
 from . import surrogate as sg
-from .errors import DimensionError, NonFiniteLossError, ValidationError
+from .errors import DimensionError, NonFiniteLossError, ValidationError, require
 from .linear import BLOCK_ROWS, TransformedDataset, row_blocks
 
 _MOMENTUM = 0.9
 ACTIVATIONS = ("relu", "tanh")  # the hidden-layer nonlinearities a network may use
+
+# each MlpConfig field's ``errors.RULES`` kind, also the config schema's ``mlp`` block
+MLP_FIELDS = {
+    "hidden_sizes": "sizes",
+    "activation": ACTIVATIONS,
+    "weight_decay": "nonneg_num",
+    "dropout_rate": "dropout",
+    "grad_clip_norm": "opt_pos_num",
+    "batch_size": "pos_int",
+    "learning_rate": "pos_num",
+    "max_epochs": "pos_int",
+    "early_stop_patience": "pos_int",
+    "validation_fraction": "holdout",
+    "seed": "seed",
+}
 
 
 @dataclass(frozen=True)
@@ -84,23 +99,10 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in MLP_FIELDS.items():
+            require(getattr(self, name), kind, name)
+        rng.streams(self.seed, 0)  # the streams own the seed's range
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValidationError("hidden sizes must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"activation must be one of {ACTIVATIONS}")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be nonnegative")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValidationError("dropout_rate must be in [0, 1)")
-        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
-            raise ValidationError("grad_clip_norm must be positive when set")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.early_stop_patience < 1:
-            raise ValidationError("batch_size, max_epochs, early_stop_patience must be positive")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning_rate must be positive")
-        if not 0.0 < self.validation_fraction <= 0.5:
-            raise ValidationError("validation_fraction must be in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,7 @@ class DirectPolicyConfig:
     temperature: float = 0.1
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValidationError("temperature must be positive")
+        require(self.temperature, "pos_num", "temperature")
 
 
 @dataclass

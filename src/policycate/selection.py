@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .dgp import LabeledSample, oracle_policy_value
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .evaluation import cate_mse, ipw_policy_value
 from .linear import LinearFitConfig, TransformedDataset, policy_from_cate, row_vector
 from .surrogate import Family, SurrogateSpec
@@ -106,8 +106,7 @@ class CvResult:
 
 
 def _fold_indices(n, k, seed):
-    if k < 2:
-        raise ValidationError("need at least 2 folds")
+    require(k, "folds", "folds")
     if n < 2 * k:
         raise ValidationError("need n >= 2k observations")
     perm = rng.streams(seed, 1)[0].permutation(n)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SearchError, ValidationError
+from .errors import DomainError, SearchError, ValidationError, require
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -97,8 +97,7 @@ class SurrogateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if not math.isfinite(self.cost):
-            raise ValidationError("cost must be finite")
+        require(self.cost, "num", "cost")
         if self.family in (Family.NORMAL, Family.LOGISTIC):
             if not (math.isfinite(self.scale) and self.scale >= _MIN_SCALE):
                 raise ValidationError(
@@ -146,8 +145,7 @@ class ScalarSurrogateProblem:
     spec: SurrogateSpec
 
     def __post_init__(self):
-        if not math.isfinite(self.tau0):
-            raise ValidationError("tau0 must be finite")
+        require(self.tau0, "num", "tau0")
 
 
 def _phi(z, out=None):
@@ -424,8 +422,7 @@ def scalar_argmax(prob: ScalarSurrogateProblem, lo=None, hi=None, tol=1e-8):
         hi = d_hi if hi is None else hi
     if not (lo < hi):
         raise ValidationError("need lo < hi")
-    if not tol > 0:
-        raise ValidationError("need tol > 0")
+    require(tol, "pos_num", "tol")
 
     def f(t):
         return scalar_surrogate_value(prob, t)

@@ -24,7 +24,8 @@ from policycate.mlp import (
     train_direct_policy,
     train_surrogate_mlp,
 )
-from policycate.selection import spec_for_sigma
+from policycate.linear import LinearFitConfig
+from policycate.selection import SigmaGrid, kfold_cv, linear_fit_function, spec_for_sigma
 
 
 def write_config(path, doc):
@@ -156,6 +157,121 @@ def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command, ov
     assert main([command, "--config", cfg, "--out", str(out), *args]) == 2
     assert "seed must lie in [0, 2^128)" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each of these was rejected only after the data file was read (cv, fit) or
+# after data was drawn (table2, evaluate), and the config fields went unnamed;
+# now the config read, or the seed check before the first draw, rejects it
+CV, FIT = ["cv", "--data", "missing.csv"], ["fit", "--data", "missing.csv"]
+READ_TIME_FAULTS = {
+    "grid-descending": (CV, {"selection": {"grid": [1, 0.5]}},
+                        "selection.grid: sigma grid must be strictly ascending"),
+    "one-fold": (CV, {"selection": {"folds": 1}}, "selection.folds: expected an integer >= 2"),
+    "dropout-one": (FIT, {"model": {"type": "mlp", "mlp": {"dropout_rate": 1.0}}},
+                    "model.mlp.dropout_rate: expected a number in [0, 1)"),
+    "validation-fraction": (FIT, {"model": {"type": "mlp", "mlp": {"validation_fraction": 0.6}}},
+                            "model.mlp.validation_fraction: expected a number in (0, 0.5]"),
+    "network-seed": (FIT, {"model": {"type": "mlp", "mlp": {"seed": -1}}},
+                     "model.mlp.seed: seed must lie in [0, 2^128), got -1"),
+    "table2-one-fold": (["table2"], {"table2": {"mlp_folds": 1}},
+                        "table2.mlp_folds: expected an integer >= 2"),
+    "table2-network-seed": (["table2"], {"table2": {"mlp": {"seed": -1}}},
+                            "table2.mlp.seed: seed must lie in [0, 2^128), got -1"),
+    # a JSON integer too large for a float escaped as an OverflowError traceback
+    "integer-beyond-float": (FIT, {"dgp": {"name": "simple", "n": 40, "seed": 1, "cost": 10**400}},
+                             "dgp.cost: expected a number"),
+    # the last replication's seed is out of range; the first ones were drawn
+    "table2-last-replication-seed": (["table2", "--replications", "3"],
+                                     {"table2": {"train_seed": 2**128 - 2}},
+                                     f"seed must lie in [0, 2^128), got {2**128}"),
+    "evaluate-last-replication-seed": (["evaluate", "--model", "mail", "--replications", "2"],
+                                       {"evaluation": {"n": 50, "seed": 2**128 - 1}},
+                                       f"seed must lie in [0, 2^128), got {2**128}"),
+    "ols-last-training-seed": (["evaluate", "--model", "ols", "--replications", "2"],
+                               {"dgp": {"name": "simple", "n": 50, "seed": 2**128 - 1}},
+                               f"seed must lie in [0, 2^128), got {2**128}"),
+}
+
+
+@pytest.mark.parametrize("argv, overrides, message", READ_TIME_FAULTS.values(),
+                         ids=READ_TIME_FAULTS.keys())
+def test_config_fault_exits_2_before_any_data_is_read_or_drawn(
+    tmp_path, monkeypatch, capsys, argv, overrides, message
+):
+    def no_draw(*args):
+        raise AssertionError("a rejected config drew data")
+
+    monkeypatch.setattr(experiments, "generate", no_draw)
+    monkeypatch.chdir(tmp_path)  # where missing.csv is missing
+    doc = {**base_config(), **overrides}
+    if argv[0] == "table2":
+        del doc["dgp"]
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main([*argv, "--config", cfg, "--out", "out"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+# (config section, class, field, value): the class rejects the value with the
+# text the config read gives, less the section's dotted prefix; each of these
+# was accepted from Python, and hidden_sizes=(1.5,) was read as one unit
+CONSTRUCTOR_FAULTS = {
+    "batch-size": ("model.mlp", MlpConfig, "batch_size", 1.5),
+    "learning-rate": ("model.mlp", MlpConfig, "learning_rate", math.inf),
+    "hidden-sizes": ("model.mlp", MlpConfig, "hidden_sizes", (1.5,)),
+    "grad-tol": ("model", functools.partial(LinearFitConfig, spec_for_sigma("normal", 1.0, 1.0)),
+                 "grad_tol", math.inf),
+    "noise-sd": ("dgp", SimpleDgp, "noise_sd", math.nan),
+    "temperature": ("model", DirectPolicyConfig, "temperature", math.inf),
+}
+
+
+@pytest.mark.parametrize("section, make, field, value", CONSTRUCTOR_FAULTS.values(),
+                         ids=CONSTRUCTOR_FAULTS.keys())
+def test_constructors_apply_the_config_rules_with_its_messages(section, make, field, value):
+    with pytest.raises(errors.ValidationError) as raised:
+        make(**{field: value})
+    message = str(raised.value)
+    assert message.startswith(f"{field}: expected ")
+    doc = {"model": {"type": "mlp"}, "dgp": {"name": "simple", "n": 10, "seed": 1}}
+    block = doc
+    for key in section.split("."):
+        block = block.setdefault(key, {})
+    block[field] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError) as raised:
+        experiments.validate_config(doc)
+    assert str(raised.value) == f"{section}.{message}"
+
+
+def test_folds_below_two_use_the_config_rule():
+    td = linear.transform_outcomes(generate(SimpleDgp(), 40, seed=1).dataset)
+    with pytest.raises(errors.ValidationError, match="^folds: expected an integer >= 2$"):
+        kfold_cv(td, SigmaGrid((1.0,)), 1, "normal", linear_fit_function(), seed=0)
+
+
+def test_constructors_keep_accepting_what_python_callers_pass():
+    net = MlpConfig(hidden_sizes=(3, np.int64(2)), seed=np.int64(5), batch_size=np.int32(8),
+                    learning_rate=np.float64(0.01), grad_clip_norm=None)
+    assert net.hidden_sizes == (3, 2) and all(type(h) is int for h in net.hidden_sizes)
+    fit_cfg = LinearFitConfig(spec_for_sigma("normal", 1.0, 1.0), max_iters=np.int64(3),
+                              grad_tol=np.float32(1e-6))
+    assert fit_cfg.max_iters == 3
+    numpy_draw = generate(SimpleDgp(noise_sd=np.float64(0.1)), np.int64(20), np.uint64(4))
+    assert np.array_equal(numpy_draw.dataset.y, generate(SimpleDgp(), 20, 4).dataset.y)
+
+
+def test_null_grad_clip_norm_means_no_clipping_as_none_does(tmp_path):
+    doc = base_config()
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+    written = []
+    for name, extra in (("omitted", {}), ("null", {"grad_clip_norm": None})):
+        net = {"hidden_sizes": [3], "max_epochs": 3, "seed": 1, **extra}
+        cfg = write_config(tmp_path / f"{name}.json", dict(doc, model={"type": "mlp", "mlp": net}))
+        assert main(["fit", "--data", data, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "model.json").read_bytes())
+    assert written[0] == written[1]
 
 
 # arbitrary JSON, and documents shaped like a config (each section an object
@@ -406,6 +522,23 @@ def test_evaluate_malformed_network_file_exits_3(tmp_path, capsys, saved_network
     out = tmp_path / "r.csv"
     assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
     assert "bad_net.json: malformed mlp model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_network_file_that_overflows_exits_3(tmp_path, capsys, saved_network):
+    # every weight and bias finite, yet the relu network's scores overflow;
+    # this exited 2 as a config error without naming the file
+    saved, doc = saved_network
+    model = tmp_path / "huge_net.json"
+    model.write_text(json.dumps({
+        **saved,
+        "weights": [[1e300] * len(w) for w in saved["weights"]],
+        "biases": [[1e300] * len(b) for b in saved["biases"]],
+    }))
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert "data error: " + str(model) + ": non-finite predictions" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -697,6 +830,22 @@ def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, cod
     err = capsys.readouterr().err
     assert message in err and (case == "no_tau_true" or eval_data in err)
     assert list(out.iterdir()) == []
+
+
+def test_cv_writes_nothing_when_the_truth_frontier_fails(tmp_path, monkeypatch, capsys):
+    # cv_result.json and frontier.csv were written before the sweep ran
+    def failing_sweep(*args, **kwargs):
+        raise errors.NonFiniteLossError("sweep diverged")
+
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--with-oracle"])
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+    monkeypatch.setattr(experiments, "frontier_sweep", failing_sweep)
+    out = tmp_path / "cv"
+    argv = ["cv", "--data", data, "--config", cfg, "--out", str(out), "--eval-data", data]
+    assert main(argv) == 4
+    assert "numerical failure: sweep diverged" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1059,7 +1208,11 @@ def test_evaluate_ols_reproduces_the_table2_ols_row(tmp_path):
 # run on the relu network (recorded before each config was checked once per
 # command) pins cv's network path.  A logistic curve (recorded before cdf,
 # partial_mean and kappa standardized through SurrogateSpec.standardize) pins
-# the logistic branches of the scalar threshold functions.
+# the logistic branches of the scalar threshold functions.  A logistic linear
+# fit, a default-design linear fit and a logistic tanh network on the complex
+# draw, and evaluate on each (recorded before the config schema and the
+# classes it configures shared one table of value rules) pin the paths those
+# refactors touch.
 # Unlike the other files the networks depend on matrix products: they are
 # too small for a BLAS thread split, but a BLAS build that sums in another
 # order, or a numpy whose tanh kernel for this CPU rounds differently, would
@@ -1076,10 +1229,17 @@ GOLDEN_OUTPUT_SHA256 = {
     "cv_mlp/cv_result.json": "32f7f16f33fd6e111c6cad41b40f0be8d278e492058435562fbc4533c29567d6",
     "cv_mlp/frontier.csv": "24933023548b0c714e3d69390a9b2c7475b1e5a800f362e75544c8d3dab0e0af",
     "cv_mlp/truth_frontier.csv": "e579a6af2cfdf58c58057c28fb4167ce91a4125e97c1e0b196bb6138bd1371a6",
+    "eval_fit_complex_linear.csv": "d716d9007230d2964bf473e32032a690e9d818104b6ed35b9d04651c07fb0727",
+    "eval_fit_complex_mlp.csv": "5494fe97a6096d3d475e008992411f04a6450086976cbce954880ef3205f716b",
     "eval_fit_linear.csv": "6d85d3f7ecb830c11fafaeea0634c33c613ffdea93686fe63b16cee8b542dfc2",
+    "eval_fit_logistic.csv": "230ea7548b99e447a5b7524f0ef8a0a3fe663b310a105701f815c818673d3bdf",
     "eval_fit_mlp.csv": "93e0e087c8a57ab6c4d85e17d4045d6a6a49a421dad234bc5dfe0dc5e503aa32",
     "eval_fit_policy.csv": "95888e8347ba3de82cf62c2b9f21e58fe4c30212b96f5a20b04854d1d622fe93",
+    "fit_complex_linear/model.json": "aa9be7c07f329acd50ff347b84118d9e54aafbdafb56a1610362d177eac7a3c4",
+    "fit_complex_mlp/model.json": "8d7b801498e10fa4458bd8e351f2222f90cda38db8cc328dc6e6fb5b06fbf91a",
+    "fit_complex_mlp/training_log.csv": "18f286d84ac7aad222d2aa0aa336e5e12895043d96954059db5d52925a371537",
     "fit_linear/model.json": "378b5cd09e664666b9419d0348e86f577ad34db45e43ead1da0f5e45e0472f0c",
+    "fit_logistic/model.json": "dd9b8ad1bcd968d7f62e2205091ab854593757360d563439c06fc3f28f7138fb",
     "fit_mlp/model.json": "22d8166e7637da396d727273d9f1b49776483ba475b3714e19ef7dc24a0766aa",
     "fit_mlp/training_log.csv": "514ce1ba05c6f2ccb1015c87c8dd6641815d8956dadf49420a9032d217702b49",
     "fit_policy/model.json": "581aeb33bfbbe14b65f554577d5331d8b35b70d160df337d42e83d7a6978a308",
@@ -1124,11 +1284,18 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
     }
     models = {f"fit_{kind}": model for kind, model in nets.items()}
     models["fit_uniform"] = dict(doc["model"], family="uniform")
+    models["fit_logistic"] = dict(doc["model"], family="logistic")
+    # a default-design linear fit and a logistic network on the complex draw
+    complex_models = {
+        "fit_complex_linear": {"type": "linear", "family": "normal", "sigma": 1.0, "cost": 1.0},
+        "fit_complex_mlp": nets["tanh"],
+    }
     complex_cfg = write_config(
         tmp_path / "cfg_complex.json", dict(doc, dgp=dict(doc["dgp"], name="complex"))
     )
     out = tmp_path / "out"
     data = str(out / "sim" / "simple_rep000_seed7.csv")
+    complex_data = str(out / "sim" / "complex_rep000_seed7.csv")
     commands = [
         ["simulate", "--config", cfg, "--out", str(out / "sim"), "--with-oracle"],
         ["curve", "--tau0", "2", "--cost", "1", "--family", "normal", "--sigma", "0.5",
@@ -1157,10 +1324,18 @@ def test_output_files_are_byte_identical_to_recorded_hashes(tmp_path):
          "--out", str(out / name)]
         for name, model in models.items()
     ] + [
-        # evaluate_model on a reloaded linear model, a network and the policy rule
-        ["evaluate", "--model", str(out / name / "model.json"), "--config", cfg,
+        ["fit", "--data", complex_data, "--config",
+         write_config(tmp_path / f"cfg_{name}.json", dict(doc, model=model)),
+         "--out", str(out / name)]
+        for name, model in complex_models.items()
+    ] + [
+        # evaluate_model on reloaded linear models, networks and the policy rule
+        ["evaluate", "--model", str(out / name / "model.json"), "--config", eval_cfg,
          "--out", str(out / f"eval_{name}.csv")]
-        for name in ("fit_linear", "fit_mlp", "fit_policy")
+        for name, eval_cfg in (
+            ("fit_linear", cfg), ("fit_mlp", cfg), ("fit_policy", cfg), ("fit_logistic", cfg),
+            ("fit_complex_linear", complex_cfg), ("fit_complex_mlp", complex_cfg),
+        )
     ]
     for argv in commands:
         assert main(argv) == 0

@@ -113,8 +113,10 @@ def test_simulate_and_evaluate_ols_leave_scipy_special_unloaded(tmp_path):
 
 def test_config_field_lists_match_what_they_configure():
     from policycate import experiments
-    from policycate.mlp import MlpConfig
+    from policycate.mlp import MLP_FIELDS, MlpConfig
 
-    assert set(experiments._MLP_FIELDS) == {f.name for f in dataclasses.fields(MlpConfig)}
+    assert set(MLP_FIELDS) == {f.name for f in dataclasses.fields(MlpConfig)}
+    for section in ("model", "table2"):
+        assert experiments.CONFIG_SCHEMA[section]["mlp"] is MLP_FIELDS
     table2 = set(experiments.CONFIG_SCHEMA["table2"]) - {"__required__"}
     assert table2 == set(experiments.TABLE2_DEFAULTS)
