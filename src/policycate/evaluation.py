@@ -4,8 +4,8 @@ Two profit paths are exposed.  ``ipw_policy_value`` scores a policy on
 experimental data alone (the transformed outcome makes it unbiased for the
 population policy value), which is what tuning must use in practice.
 ``dgp.oracle_policy_value`` scores against the true effect function and is
-available only in simulations; the report assembly here uses the oracle
-path because evaluation samples carry oracle labels.
+available only in simulations; ``evaluate_model``, the one scorer of every
+oracle-labeled sample (``evaluate``, ``table2``, ``frontier_sweep``), uses it.
 """
 
 from __future__ import annotations

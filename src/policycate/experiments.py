@@ -62,10 +62,13 @@ def _check_field(path, value, kind):
         _check_object(path, value, kind)
     elif kind == "design":
         _blame(path, ConfigError, parse_design, value)
+    elif kind == "sigma":  # the spec's owner holds the floor
+        require(value, kind, path, ConfigError)
+        _blame(path, ConfigError, spec_for_sigma, "normal", 0.0, float(value))
     elif kind == "sigma_list":
         require(value, "list", path, ConfigError)
         for i, v in enumerate(value):
-            require(v, "sigma", f"{path}[{i}]", ConfigError)
+            _check_field(f"{path}[{i}]", v, "sigma")
         _blame(path, ConfigError, SigmaGrid, tuple(value))
     else:
         require(value, kind, path, ConfigError)
@@ -369,6 +372,8 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
                 f"{eval_data_path}: {eval_ds.k} covariate columns, "
                 f"but the training data has {td.k}"
             )
+        if eval_ds.n < 2:  # each point's report ranks the rows for its qini
+            raise DataError(f"{eval_data_path}: the truth frontier needs at least 2 data rows")
         eval_sample = LabeledSample(dataset=eval_ds, tau_true=eval_tau)
 
     cv = kfold_cv(td, grid, folds, family, fit, seed=seed, cost=cost)

@@ -8,8 +8,8 @@ experimental policy value of ``1{tau_hat >= cost}``.  The grid may contain
 ``inf``, a sentinel for the uniform family (the plain least-squares limit).
 
 ``frontier_sweep`` instead fits on the full training data at every grid
-value and scores against an oracle-labeled evaluation sample, tracing the
-attainable (MSE, profit) pairs of the model class.
+value and scores each fit with ``evaluation.evaluate_model`` on an
+oracle-labeled sample, tracing the attainable (MSE, profit) pairs.
 
 Both take a fit callback ``fit(td_train, spec) -> predict``, where
 ``predict`` maps new rows of the kind ``td_train`` holds to money-scale
@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .dgp import LabeledSample, oracle_policy_value
+from .dgp import LabeledSample
 from .errors import ValidationError, require
-from .evaluation import cate_mse, ipw_policy_value
+from .evaluation import cate_mse, evaluate_model, ipw_policy_value
 from .linear import LinearFitConfig, TransformedDataset, policy_from_cate, row_vector
 from .surrogate import Family, SurrogateSpec
 
@@ -55,7 +55,10 @@ class SigmaGrid:
     values: tuple = DEFAULT_SIGMA_GRID
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(map(float, self.values))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sigma grid: {exc}") from None
         if len(vals) == 0:
             raise ValidationError("sigma grid must be nonempty")
         if any(not v > 0 for v in vals):
@@ -146,18 +149,14 @@ def kfold_cv(
         mean_mse = float(np.mean([r.mse_proxy for r in rows]))
         mean_profit = float(np.mean([r.profit for r in rows]))
         frontier.append(FrontierPoint(sigma, mean_mse, mean_profit))
-    sigma_mse = sigma_profit = grid.values[0]
-    best_mse, best_profit = math.inf, -math.inf
-    for sigma, mse, profit in frontier:
-        if mse <= best_mse:  # later (larger) sigma wins ties
-            best_mse, sigma_mse = mse, sigma
-        if profit >= best_profit:
-            best_profit, sigma_profit = profit, sigma
+    # the first best of the reversed grid: later (larger) sigma wins ties
+    best_mse = min(reversed(frontier), key=lambda p: p.mse)
+    best_profit = max(reversed(frontier), key=lambda p: p.profit)
     return CvResult(
         fold_scores=tuple(scores),
         frontier=tuple(frontier),
-        sigma_mse=sigma_mse,
-        sigma_profit=sigma_profit,
+        sigma_mse=best_mse.sigma,
+        sigma_profit=best_profit.sigma,
         k=k,
         seed=seed,
     )
@@ -171,22 +170,17 @@ def frontier_sweep(
     family,
     cost: float = 1.0,
 ):
-    """Fit on the full data at every sigma and score against the truth.
+    """Fit on the full data at every sigma and score it with ``evaluate_model``.
 
     ``td`` and ``fit`` take raw covariate rows, as the evaluation sample
-    holds them.  Returns one :class:`FrontierPoint` per grid value, in grid
-    order.
+    (two rows or more) holds them.  Returns one :class:`FrontierPoint` of
+    the report's MSE and profit per grid value, in grid order.
     """
     points = []
     for sigma in grid.values:
-        spec = spec_for_sigma(family, cost, sigma)
-        predictor = fit(td, spec)
-        preds = row_vector(
-            predictor(eval_sample.dataset.x), eval_sample.dataset.n, "predictions", finite=True
-        )
-        mse = cate_mse(preds, eval_sample.tau_true)
-        profit = oracle_policy_value(eval_sample, policy_from_cate(preds, cost), cost)
-        points.append(FrontierPoint(sigma=sigma, mse=mse, profit=profit))
+        predictor = fit(td, spec_for_sigma(family, cost, sigma))
+        report = evaluate_model(predictor, eval_sample, cost, True)
+        points.append(FrontierPoint(sigma=sigma, mse=report.mse, profit=report.profit))
     return points
 
 

@@ -177,6 +177,15 @@ READ_TIME_FAULTS = {
                         "table2.mlp_folds: expected an integer >= 2"),
     "table2-network-seed": (["table2"], {"table2": {"mlp": {"seed": -1}}},
                             "table2.mlp.seed: seed must lie in [0, 2^128), got -1"),
+    # a sigma below the spec's 1e-8 floor failed at the first spec, unnamed
+    "sigma-below-floor": (FIT, {"model": {"type": "linear", "sigma": 1e-9}},
+                          "model.sigma: scale must be >= 1e-08"),
+    "grid-below-floor": (CV, {"selection": {"grid": [1e-9, 1]}},
+                         "selection.grid[0]: scale must be >= 1e-08"),
+    "table2-linear-grid-below-floor": (["table2"], {"table2": {"linear_grid": [1e-9, "inf"]}},
+                                       "table2.linear_grid[0]: scale must be >= 1e-08"),
+    "table2-mlp-grid-below-floor": (["table2"], {"table2": {"mlp_grid": [0.5, 1e-9]}},
+                                    "table2.mlp_grid[1]: scale must be >= 1e-08"),
     # a JSON integer too large for a float escaped as an OverflowError traceback
     "integer-beyond-float": (FIT, {"dgp": {"name": "simple", "n": 40, "seed": 1, "cost": 10**400}},
                              "dgp.cost: expected a number"),
@@ -798,9 +807,13 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
         ("no_tau_true", 2, "tau_true"),
         ("other_width", 3, "10 covariate columns, but the training data has 1"),
         ("nan_tau_true", 3, "non-finite tau_true"),
+        # a one-row file has no qini; it was swept and written
+        ("one_row", 3, "the truth frontier needs at least 2 data rows"),
     ],
 )
-def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, code, message):
+def test_cv_checks_eval_data_before_writing_anything(
+    tmp_path, monkeypatch, capsys, case, code, message
+):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--with-oracle"])
     data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
@@ -816,6 +829,10 @@ def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, cod
         lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
         eval_data = str(tmp_path / "nan_tau.csv")
         (tmp_path / "nan_tau.csv").write_text("\n".join(lines) + "\n")
+    elif case == "one_row":
+        lines = (tmp_path / "sim" / "simple_rep000_seed7.csv").read_text().splitlines()
+        eval_data = str(tmp_path / "one_row.csv")
+        (tmp_path / "one_row.csv").write_text("\n".join(lines[:2]) + "\n")
     else:
         wide = write_config(
             tmp_path / "wide.json", base_config(dgp={"name": "complex", "n": 50, "seed": 3})
@@ -823,6 +840,11 @@ def test_cv_checks_eval_data_before_writing_anything(tmp_path, capsys, case, cod
         main(["simulate", "--config", wide, "--out", str(tmp_path / "wide"), "--with-oracle"])
         eval_data = str(tmp_path / "wide" / "complex_rep000_seed3.csv")
     capsys.readouterr()
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a rejected --eval-data file reached a fit")
+
+    monkeypatch.setattr(experiments, "kfold_cv", no_fit)
     out = tmp_path / "cv"
     out.mkdir()
     argv = ["cv", "--data", data, "--config", cfg, "--out", str(out), "--eval-data", eval_data]

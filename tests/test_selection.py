@@ -5,13 +5,16 @@ import pytest
 
 from policycate.dgp import SimpleDgp, gen_simple
 from policycate.errors import ValidationError
+from policycate.evaluation import evaluate_model
 from policycate.linear import build_design, ols_solution, transform_outcomes
+from policycate.mlp import MlpConfig
 from policycate.selection import (
     DEFAULT_SIGMA_GRID,
     SigmaGrid,
     frontier_sweep,
     kfold_cv,
     linear_fit_function,
+    mlp_fit_function,
     spec_for_sigma,
 )
 from policycate.surrogate import Family
@@ -37,6 +40,18 @@ def test_sigma_grid_validation():
         SigmaGrid((0.5, 0.5, math.inf))
     grid = SigmaGrid((0.5, 1.0, math.inf))
     assert grid.values[-1] == math.inf
+
+
+def test_sigma_grid_names_a_value_that_is_not_a_number():
+    # float("abc") raised a plain ValueError, outside the package's error families
+    with pytest.raises(ValidationError, match="^sigma grid: could not convert .*: 'abc'$"):
+        SigmaGrid((0.5, "abc"))
+    with pytest.raises(ValidationError, match="^sigma grid: .*'NoneType'$"):
+        SigmaGrid((None,))
+    grid = SigmaGrid((np.float32(0.5), 1.0, np.float64(2.0), math.inf))
+    assert grid.values == (0.5, 1.0, 2.0, math.inf)
+    assert all(type(v) is float for v in grid.values)
+    assert SigmaGrid((1.0, "inf")).values == (1.0, math.inf)
 
 
 def test_spec_for_sigma_maps_infinity_to_uniform():
@@ -133,3 +148,20 @@ def test_frontier_tradeoff_on_misspecified_design(misspecified_problem):
     inf_point = by_sigma[math.inf]
     better = [p for p in points if p.profit > inf_point.profit and p.mse > inf_point.mse]
     assert better, "no grid point trades MSE for profit"
+
+
+@pytest.mark.parametrize("model", ["linear-design", "mlp"])
+def test_frontier_point_is_evaluate_models_report_bit_for_bit(misspecified_problem, model):
+    sample, _ = misspecified_problem
+    raw = transform_outcomes(sample.dataset)
+    eval_sample = gen_simple(SimpleDgp(), 2_000, seed=303)
+    if model == "mlp":
+        fit = mlp_fit_function(MlpConfig(hidden_sizes=(4,), max_epochs=3, seed=1))
+    else:
+        fit = linear_fit_function(["1", "x1"])
+    grid = SigmaGrid((0.25, 1.0, math.inf))
+    points = frontier_sweep(raw, grid, eval_sample, fit, "normal", cost=1.0)
+    for point in points:
+        predictor = fit(raw, spec_for_sigma("normal", 1.0, point.sigma))
+        report = evaluate_model(predictor, eval_sample, 1.0, True)
+        assert (point.mse.hex(), point.profit.hex()) == (report.mse.hex(), report.profit.hex())
