@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import require
-from .linear import Dataset, read_only, row_vector
+from .linear import Dataset, read_only, row_matrix, row_vector
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ class ComplexDgp(_Dgp):
         return np.full(self.dim, 1.0 / math.sqrt(self.dim))
 
     def tau(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = x @ self.omega
+        z = row_matrix(x, self.dim) @ self.omega
         return z * np.sin(2.3 * z) + 1.3
 
 

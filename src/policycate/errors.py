@@ -85,7 +85,7 @@ def _is_num(v):  # a finite number that a float can hold; a bool is not a number
 RULES = {
     "seed": (_is_int, "an integer"),  # rng.streams owns a seed's range
     "pos_int": (lambda v: _is_int(v) and v > 0, "a positive integer"),
-    "folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "int_ge2": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "num": (_is_num, "a number"),
     "nonneg_num": (lambda v: _is_num(v) and v >= 0, "a nonnegative number"),
     "pos_num": (lambda v: _is_num(v) and v > 0, "a positive number"),

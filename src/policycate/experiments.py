@@ -113,13 +113,13 @@ CONFIG_SCHEMA = {
     },
     "evaluation": {
         "__required__": ("n",),
-        "n": "pos_int",
+        "n": "int_ge2",  # every oracle score ranks its rows for the qini
         "seed": "seed",
     },
     "selection": {
         "__required__": (),
         "grid": "sigma_list",
-        "folds": "folds",
+        "folds": "int_ge2",
         "seed": "seed",
     },
     "table2": {
@@ -127,12 +127,12 @@ CONFIG_SCHEMA = {
         "replications": "pos_int",
         "train_n": "pos_int",
         "train_seed": "seed",
-        "eval_n": "pos_int",
+        "eval_n": "int_ge2",
         "eval_seed": "seed",
         "linear_grid": "sigma_list",
-        "linear_folds": "folds",
+        "linear_folds": "int_ge2",
         "mlp_grid": "sigma_list",
-        "mlp_folds": "folds",
+        "mlp_folds": "int_ge2",
         "policy_temperature": "pos_num",
         "mlp": mlp.MLP_FIELDS,
     },
@@ -270,8 +270,8 @@ def _builtin_models(dgp):
     cost = dgp.cost
     return {
         "oracle": (dgp.tau, True),
-        "mail": (lambda x: np.full(np.atleast_2d(x).shape[0], cost), False),
-        "no_mail": (lambda x: np.full(np.atleast_2d(x).shape[0], cost - 1.0), False),
+        "mail": (lambda x: np.full(linear.row_matrix(x).shape[0], cost), False),
+        "no_mail": (lambda x: np.full(linear.row_matrix(x).shape[0], cost - 1.0), False),
     }
 
 
@@ -347,9 +347,12 @@ def run_evaluate(cfg, model_arg, out_path, replications=None):
 
 
 def run_cv(data_path, cfg, out_dir, eval_data_path=None):
-    model_cfg, family, cost, td, design = _model_inputs(cfg, data_path)
-    if family == "uniform":
+    model_cfg = cfg["model"]  # a model cv cannot tune is rejected before the data is read
+    if model_cfg.get("family") == "uniform":
         raise ConfigError("model.family: cv tunes sigma; use normal or logistic")
+    if model_cfg["type"] == "policy":
+        raise ConfigError("model.type: cv supports linear or mlp models")
+    _, family, cost, td, design = _model_inputs(cfg, data_path)
     selection = cfg.get("selection", {})
     grid = SigmaGrid(tuple(selection.get("grid", DEFAULT_SIGMA_GRID)))
     folds = int(selection.get("folds", 5))
@@ -357,10 +360,8 @@ def run_cv(data_path, cfg, out_dir, eval_data_path=None):
 
     if model_cfg["type"] == "linear":
         fit = linear_fit_function(design, **_solver_options(model_cfg))
-    elif model_cfg["type"] == "mlp":
-        fit = mlp_fit_function(_mlp_config(model_cfg.get("mlp")))
     else:
-        raise ConfigError("model.type: cv supports linear or mlp models")
+        fit = mlp_fit_function(_mlp_config(model_cfg.get("mlp")))
 
     eval_sample = None  # checked before any fit, so a bad file writes nothing
     if eval_data_path is not None:

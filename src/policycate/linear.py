@@ -26,7 +26,9 @@ read-only float64.  ``read_only`` keeps an array as it is when nothing can
 write to it any more, and copies it otherwise, so a caller hands an array
 over by sealing it (``a.setflags(write=False)``) and keeps a private copy
 of anything it leaves writable.  ``row_vector`` reads every per-row vector
-(an outcome, a policy, a prediction, an oracle effect) and checks its length.
+(an outcome, a policy, a prediction, an oracle effect) and checks its length;
+``row_matrix`` reads every row matrix (covariates, a design, a model's input
+rows) and checks its width.
 
 Scoring walks its rows in the blocks of ``row_blocks``, which
 ``predict_rows`` here, the network scoring in ``policycate.mlp`` and the
@@ -97,6 +99,21 @@ def row_vector(a, n=None, name="values", finite=False):
     return v
 
 
+def row_matrix(a, k=None, name="x", finite=False):
+    """``a`` as a 2-D float64 array of rows; a 1-D ``a`` is one row.
+
+    Given ``k``, any other width raises :class:`DimensionError` naming
+    ``name``; with ``finite``, a NaN or infinite entry raises
+    :class:`ValidationError`.  A float64 array is not copied.
+    """
+    x = np.atleast_2d(np.asarray(a, dtype=float))
+    if k is not None and x.shape[1] != k:
+        raise DimensionError(f"{name} has {x.shape[1]} features, model expects {k}")
+    if finite and not np.all(np.isfinite(x)):
+        raise ValidationError(f"non-finite {name}")
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One experiment: covariate rows, binary treatment, outcome, propensity.
@@ -117,13 +134,12 @@ class Dataset:
     e: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        x = row_matrix(self.x, name="covariates", finite=True)
         n = x.shape[0]
         if n < 1:
             raise ValidationError("need at least one observation")
-        w, y, e = row_vector(self.w, n, "w"), row_vector(self.y, n, "y"), row_vector(self.e, n, "e")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise ValidationError("non-finite covariates or outcomes")
+        w, e = row_vector(self.w, n, "w"), row_vector(self.e, n, "e")
+        y = row_vector(self.y, n, "y", finite=True)
         if not np.all((w == 0.0) | (w == 1.0)):
             raise ValidationError("treatment indicator must be binary")
         # written so that a NaN propensity fails it
@@ -154,7 +170,7 @@ class TransformedDataset:
     y_star: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        x = row_matrix(self.x, name="design rows", finite=True)
         ys = row_vector(self.y_star, x.shape[0], "y_star", finite=True)
         object.__setattr__(self, "x", read_only(x))
         object.__setattr__(self, "y_star", read_only(ys))
@@ -227,7 +243,7 @@ def parse_design(terms):
 
 def build_design(x_raw, terms):
     """Assemble a design matrix from the term strings of :func:`parse_design`."""
-    x_raw = np.atleast_2d(np.asarray(x_raw, dtype=float))
+    x_raw = row_matrix(x_raw)
     cols = []
     for term, (j, power) in zip(terms, parse_design(terms)):
         if j is None:
@@ -461,10 +477,8 @@ def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):
     bitwise.
     """
     theta = np.asarray(theta, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    width = x.shape[1] if design is None else build_design(x[:0], design).shape[1]
-    if width != theta.shape[0]:
-        raise DimensionError(f"x has {width} features, model expects {theta.shape[0]}")
+    x = row_matrix(x)
+    row_matrix(x[:0] if design is None else build_design(x[:0], design), theta.shape[0])
     out = np.empty(x.shape[0])
     for start, stop in row_blocks(x.shape[0]):
         xd = x[start:stop] if design is None else build_design(x[start:stop], design)

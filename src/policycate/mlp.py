@@ -62,8 +62,8 @@ import numpy as np
 
 from . import rng
 from . import surrogate as sg
-from .errors import DimensionError, NonFiniteLossError, ValidationError, require
-from .linear import BLOCK_ROWS, TransformedDataset, row_blocks
+from .errors import NonFiniteLossError, ValidationError, require
+from .linear import BLOCK_ROWS, TransformedDataset, row_blocks, row_matrix
 
 _MOMENTUM = 0.9
 ACTIVATIONS = ("relu", "tanh")  # the hidden-layer nonlinearities a network may use
@@ -444,11 +444,7 @@ def predict_mlp(model: MlpModel, x_new):
     return the raw score, which ranks and thresholds (treat iff score >= 0)
     but is not a CATE (``model.is_cate`` is False).
     """
-    x = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x.shape[1] != model.x_mean.shape[0]:
-        raise DimensionError(
-            f"x has {x.shape[1]} features, model expects {model.x_mean.shape[0]}"
-        )
+    x = row_matrix(x_new, model.x_mean.shape[0])
     scores = _scores(model.weights, model.biases, model.activation, model.x_mean, model.x_sd, x)
     if model.head == "policy":
         return scores

@@ -109,7 +109,7 @@ class CvResult:
 
 
 def _fold_indices(n, k, seed):
-    require(k, "folds", "folds")
+    require(k, "int_ge2", "folds")
     if n < 2 * k:
         raise ValidationError("need n >= 2k observations")
     perm = rng.streams(seed, 1)[0].permutation(n)

@@ -186,6 +186,16 @@ READ_TIME_FAULTS = {
                                        "table2.linear_grid[0]: scale must be >= 1e-08"),
     "table2-mlp-grid-below-floor": (["table2"], {"table2": {"mlp_grid": [0.5, 1e-9]}},
                                     "table2.mlp_grid[1]: scale must be >= 1e-08"),
+    # cv read the whole data file before it rejected a model it cannot tune
+    "cv-policy": (CV, {"model": {"type": "policy"}},
+                  "model.type: cv supports linear or mlp models"),
+    "cv-uniform": (CV, {"model": {"type": "linear", "family": "uniform"}},
+                   "model.family: cv tunes sigma; use normal or logistic"),
+    # a one-row oracle sample has no qini; it failed after the draw, unnamed
+    "evaluation-n-one": (["evaluate", "--model", "mail"], {"evaluation": {"n": 1}},
+                         "evaluation.n: expected an integer >= 2"),
+    "table2-eval-n-one": (["table2"], {"table2": {"eval_n": 1}},
+                          "table2.eval_n: expected an integer >= 2"),
     # a JSON integer too large for a float escaped as an OverflowError traceback
     "integer-beyond-float": (FIT, {"dgp": {"name": "simple", "n": 40, "seed": 1, "cost": 10**400}},
                              "dgp.cost: expected a number"),
@@ -619,6 +629,27 @@ def test_malformed_config_design_exits_2_before_the_data_is_read(
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error: model.design: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_design_with_non_finite_rows_exits_2_before_any_fit(tmp_path, monkeypatch, capsys):
+    # x1^2000 overflows on the simple draw's covariates; the solver's SVD then
+    # failed and the command exited 1 with a traceback
+    doc = base_config(model={"type": "linear", "design": ["1", "x1^2000"]})
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+
+    def no_fit(*args):
+        raise AssertionError("a design of non-finite rows was fitted")
+
+    monkeypatch.setattr(linear, "fit_linear", no_fit)
+    monkeypatch.setattr(experiments, "fit_linear", no_fit)
+    for command in ("fit", "cv"):
+        out = tmp_path / command
+        assert main([command, "--data", data, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: non-finite design rows" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_evaluate_linear_model_with_non_finite_theta_exits_3(tmp_path, capsys):

@@ -12,7 +12,7 @@ from policycate.dgp import (
     gen_simple,
     oracle_policy_value,
 )
-from policycate.errors import ValidationError
+from policycate.errors import DimensionError, ValidationError
 from policycate.linear import Dataset
 
 
@@ -69,6 +69,12 @@ def test_complex_tau_values():
     z = 20.0 / math.sqrt(10.0)
     expected = z * math.sin(2.3 * z) + 1.3
     assert dgp.tau(np.full((1, 10), 2.0))[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_complex_tau_names_rows_of_another_width():
+    # numpy's matmul ValueError escaped before
+    with pytest.raises(DimensionError, match="^x has 3 features, model expects 10$"):
+        ComplexDgp().tau(np.ones((4, 3)))
 
 
 def test_complex_treatment_share(big_complex):

@@ -71,6 +71,41 @@ def test_module_reads_every_private_name_it_defines(path):
     assert dead_private_names(path.read_text()) == []
 
 
+def atleast_2d_callers(source):
+    """The innermost enclosing function (None at module level) of each ``atleast_2d`` call."""
+    callers = []
+
+    def visit(node, func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "atleast_2d":
+                callers.append(func)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return callers
+
+
+def test_atleast_2d_scan_finds_each_caller():
+    source = (
+        "import numpy as np\nfrom numpy import atleast_2d\nnp.atleast_2d(1)\n"
+        "def f():\n    return lambda x: atleast_2d(x)\n"
+    )
+    assert atleast_2d_callers(source) == [None, "f"]
+
+
+def test_row_matrices_have_one_reader():
+    # linear.row_matrix is the one coercion of a row matrix and the one
+    # source of the width message; a hand-rolled copy fails here
+    files = sorted(PACKAGE_DIR.glob("*.py"))
+    callers = {p.name: atleast_2d_callers(p.read_text()) for p in files}
+    assert {name: c for name, c in callers.items() if c} == {"linear.py": ["row_matrix"]}
+    assert sum(p.read_text().count("features, model expects") for p in files) == 1
+
+
 def loaded_after(code, modules):
     """Those of ``modules`` that are in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
     code = f"{code}\nimport sys\nprint([m for m in {list(modules)!r} if m in sys.modules])"

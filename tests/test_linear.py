@@ -29,6 +29,7 @@ from policycate.linear import (
     predict_cate,
     predict_rows,
     read_only,
+    row_matrix,
     sandwich_covariance,
     surrogate_gradient,
     surrogate_objective,
@@ -106,6 +107,37 @@ def test_transformed_dataset_follows_the_same_rule():
     x, ys = sealed(x), sealed(ys)
     td = TransformedDataset(x, ys)
     assert np.shares_memory(td.x, x) and np.shares_memory(td.y_star, ys)
+
+
+def test_row_matrix_reads_a_flat_array_as_one_row():
+    x = row_matrix([1, 2, 3])
+    assert x.shape == (1, 3) and x.dtype == np.float64
+
+
+def test_row_matrix_names_a_wrong_width():
+    with pytest.raises(DimensionError, match="^rows has 2 features, model expects 3$"):
+        row_matrix(np.ones((4, 2)), 3, name="rows")
+
+
+def test_row_matrix_rejects_a_non_finite_entry_when_asked():
+    x = np.ones((3, 2))
+    x[1, 0] = np.nan
+    assert np.isnan(row_matrix(x)[1, 0])  # the check is opt-in
+    with pytest.raises(ValidationError, match="^non-finite x$"):
+        row_matrix(x, finite=True)
+
+
+def test_row_matrix_does_not_copy_a_float64_array():
+    x = np.arange(12.0).reshape(4, 3)
+    assert np.shares_memory(row_matrix(x, 3, finite=True), x)
+
+
+def test_transformed_dataset_rejects_an_infinite_row():
+    # a design power can overflow on finite covariates; the solver's SVD then failed
+    x = np.ones((3, 2))
+    x[2, 1] = np.inf
+    with pytest.raises(ValidationError, match="^non-finite design rows$"):
+        TransformedDataset(x, np.zeros(3))
 
 
 def test_read_only_copies_a_sealed_view_of_a_writable_owner():
