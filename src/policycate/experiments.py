@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy
 from .selection import (
     DEFAULT_SIGMA_GRID,
     SigmaGrid,
+    fork_map,
     frontier_sweep,
     kfold_cv,
     linear_fit_function,
@@ -551,7 +551,6 @@ def run_table2(cfg, out_dir, jobs=1, replications=None, seed=None):
     eval_sample = generate(dgp, params["eval_n"], params["eval_seed"])
     cost = dgp.cost
 
-    rep_args = [(rep, params, dgp) for rep in range(params["replications"])]
     per_model = {tag: [] for tag in TABLE2_MODEL_ORDER}
     runs = []
     selected = []
@@ -562,22 +561,13 @@ def run_table2(cfg, out_dir, jobs=1, replications=None, seed=None):
             runs.append((rep, tag, sigma, report.profit, report.mse, report.qini))
             per_model[tag].append(report)
 
-    # a fork pool starts all its workers at the first submit, so it gets no
-    # more of them than there are replications
-    workers = min(jobs, params["replications"])
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        if pool is not None:
-            fitted_iter = pool.map(_table2_fit_rep, rep_args)
-        else:
-            fitted_iter = map(_table2_fit_rep, rep_args)
-        for rep, models, rep_selected in fitted_iter:  # score each replication as it lands
-            score(rep, models)
-            selected.append(rep_selected)
-    finally:
-        # a failed replication must not leave queued work or live workers
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    # fork_map starts no more workers than there are replications
+    fitted = fork_map(
+        lambda rep: _table2_fit_rep((rep, params, dgp)), params["replications"], jobs
+    )
+    for rep, models, rep_selected in fitted:
+        score(rep, models)
+        selected.append(rep_selected)
     # the shared baselines are scored as `evaluate` scores the same builtin tags
     score(None, [(tag, None, *model) for tag, model in _builtin_models(dgp).items()])
 

@@ -184,11 +184,14 @@ class TransformedDataset:
         return self.x.shape[1]
 
     def subset(self, idx):
-        x, y_star = self.x[idx], self.y_star[idx]
-        # sealed so that a fresh fancy-index copy is handed over, not copied again
-        x.setflags(write=False)
-        y_star.setflags(write=False)
-        return TransformedDataset(x, y_star)
+        # built past __post_init__: the rows were checked when this dataset was
+        sub = object.__new__(TransformedDataset)
+        for name in ("x", "y_star"):
+            part = getattr(self, name)[idx]
+            # sealed so that a fresh fancy-index copy is handed over, not copied again
+            part.setflags(write=False)
+            object.__setattr__(sub, name, read_only(part))
+        return sub
 
     def with_design(self, x_design):
         return TransformedDataset(x_design, self.y_star)
@@ -252,7 +255,10 @@ def build_design(x_raw, terms):
         if j > x_raw.shape[1]:
             raise DimensionError(f"design term {term!r} exceeds {x_raw.shape[1]} columns")
         col = x_raw[:, j - 1]
-        cols.append(col if power is None else col**power)
+        if power is not None:
+            with np.errstate(over="ignore"):  # row_matrix reports non-finite rows
+                col = col**power
+        cols.append(col)
     return np.column_stack(cols)
 
 

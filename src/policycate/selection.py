@@ -13,16 +13,23 @@ oracle-labeled sample, tracing the attainable (MSE, profit) pairs.
 
 Both take a fit callback ``fit(td_train, spec) -> predict``, where
 ``predict`` maps new rows of the kind ``td_train`` holds to money-scale
-scores and pickles.  ``mlp_fit_function`` and ``linear_fit_function(design)``
-take raw covariate rows; the latter builds its design inside the fit and,
-block by block, inside the predictor, so no full-size design of an
-evaluation sample is built.  Without a design the linear rows are the design.
+scores and pickles.  Both run their fits through :func:`fork_map` over
+:func:`fit_workers` processes, so with more than one a worker returns each
+``predict``; they score every fit in the calling process in grid order, so
+their results do not depend on the worker count.  ``mlp_fit_function`` and
+``linear_fit_function(design)`` take raw covariate rows; the latter builds
+its design inside the fit and, block by block, inside the predictor, so no
+full-size design of an evaluation sample is built.  Without a design the
+linear rows are the design.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -46,6 +53,69 @@ SIGMA_FIT_MAX_ITERS = 1_500
 
 # fit callback contract: see the module docstring
 FitFunction = Callable[[TransformedDataset, SurrogateSpec], Callable[[np.ndarray], np.ndarray]]
+
+
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fit_workers():
+    """How many processes CV and frontier fits use: usable cores // BLAS threads.
+
+    BLAS threads are the first positive integer among
+    :data:`BLAS_THREAD_VARS`, else the usable core count (OpenBLAS's own
+    default), so with none of them set this is 1 and BLAS keeps every core.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        usable = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return max(1, usable // int(value))
+    return 1
+
+
+_task = None  # a fork_map worker's fn, inherited from the parent
+
+
+def _adopt(fn):
+    global _task
+    _task = fn
+
+
+def _run_task(i):
+    return _task(i)
+
+
+def fork_map(fn, n, workers):
+    """``[fn(i) for i in range(n)]``, over up to ``workers`` forked processes.
+
+    A worker inherits ``fn`` and all it refers to, so closures need not
+    pickle: only the index goes in, and only the result, which must pickle,
+    comes back.  It runs inline with one worker, inside a worker (pools
+    never nest) and where fork is unavailable.  A forked worker inherits the
+    caller's BLAS set-up, so the results are those of the inline run.
+    """
+    workers = min(workers, n)
+    if (
+        workers <= 1
+        or multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return [fn(i) for i in range(n)]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(fn,),
+    )
+    try:
+        return list(pool.map(_run_task, range(n)))
+    finally:
+        # a failed task must not leave queued work or live workers
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -133,13 +203,17 @@ def kfold_cv(
     """
     folds = _fold_indices(td.n, k, seed)
     splits = [(td.subset(np.setdiff1d(np.arange(td.n), f)), td.subset(f)) for f in folds]
+    specs = [spec_for_sigma(family, cost, sigma) for sigma in grid.values]
+    # one fit per (sigma, fold), sigma-major as the fold scores are
+    predictors = fork_map(
+        lambda i: fit(splits[i % k][0], specs[i // k]), len(specs) * k, fit_workers()
+    )
     scores, frontier = [], []
-    for sigma in grid.values:
-        spec = spec_for_sigma(family, cost, sigma)
+    for s, sigma in enumerate(grid.values):
         rows = []
-        for j, (td_train, td_held) in enumerate(splits):
+        for j, (_, td_held) in enumerate(splits):
             preds = row_vector(
-                fit(td_train, spec)(td_held.x), td_held.n, "predictions", finite=True
+                predictors[s * k + j](td_held.x), td_held.n, "predictions", finite=True
             )
             # the squared difference is the same in either order, bit for bit
             mse_proxy = cate_mse(preds, td_held.y_star)
@@ -176,9 +250,10 @@ def frontier_sweep(
     (two rows or more) holds them.  Returns one :class:`FrontierPoint` of
     the report's MSE and profit per grid value, in grid order.
     """
+    specs = [spec_for_sigma(family, cost, sigma) for sigma in grid.values]
+    predictors = fork_map(lambda i: fit(td, specs[i]), len(specs), fit_workers())
     points = []
-    for sigma in grid.values:
-        predictor = fit(td, spec_for_sigma(family, cost, sigma))
+    for sigma, predictor in zip(grid.values, predictors):
         report = evaluate_model(predictor, eval_sample, cost, True)
         points.append(FrontierPoint(sigma=sigma, mse=report.mse, profit=report.profit))
     return points

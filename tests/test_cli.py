@@ -3,7 +3,10 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import cli, dataio, errors, experiments, linear
+from policycate import cli, dataio, errors, experiments, linear, selection
 from policycate.cli import main
 from policycate.dgp import ComplexDgp, SimpleDgp, generate
 from policycate.errors import ConfigError
@@ -631,7 +634,7 @@ def test_malformed_config_design_exits_2_before_the_data_is_read(
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr ahead of the error line
 def test_design_with_non_finite_rows_exits_2_before_any_fit(tmp_path, monkeypatch, capsys):
     # x1^2000 overflows on the simple draw's covariates; the solver's SVD then
     # failed and the command exited 1 with a traceback
@@ -645,10 +648,11 @@ def test_design_with_non_finite_rows_exits_2_before_any_fit(tmp_path, monkeypatc
 
     monkeypatch.setattr(linear, "fit_linear", no_fit)
     monkeypatch.setattr(experiments, "fit_linear", no_fit)
+    capsys.readouterr()
     for command in ("fit", "cv"):
         out = tmp_path / command
         assert main([command, "--data", data, "--config", cfg, "--out", str(out)]) == 2
-        assert "config error: non-finite design rows" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: non-finite design rows\n"
         assert not out.exists()
 
 
@@ -818,6 +822,7 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
     capped_cfg = write_config(tmp_path / "capped.json", doc)
     caps = []
     real_fit = linear.fit_linear
+    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # the spy records in this process
 
     def spy(td, fit_cfg):
         caps.append(fit_cfg.max_iters)
@@ -829,6 +834,74 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
     assert caps == [1] * 4  # two sigmas, two folds
     default = (tmp_path / "default" / "cv_result.json").read_bytes()
     assert (capped_out / "cv_result.json").read_bytes() != default
+
+
+def test_a_fit_failing_in_a_worker_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+    real_fit = linear.fit_linear
+
+    def fails_in_a_worker(td, fit_cfg):
+        if multiprocessing.parent_process() is not None:
+            raise errors.SingularDesignError("design matrix is rank deficient")
+        return real_fit(td, fit_cfg)
+
+    monkeypatch.setattr(linear, "fit_linear", fails_in_a_worker)
+    monkeypatch.setattr(selection, "fit_workers", lambda: 2)
+    capsys.readouterr()
+    out = tmp_path / "cv"
+    assert main(["cv", "--data", data, "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "numerical failure: design matrix is rank deficient\n"
+    assert not out.exists()
+
+
+# runs `policycate cv` on the first N usable cores, and first prints the fit workers
+CV_ON_CORES = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])
+from policycate import cli, selection
+print(selection.fit_workers(), flush=True)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable cores",
+)
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+def test_cv_output_is_the_same_forked_or_inline(tmp_path, model):
+    # one BLAS thread: on two cores the fits fan out over two workers, on one
+    # core they run inline; the files must not tell the two apart
+    doc = base_config(selection={"grid": [0.25, 1.0, "inf"], "folds": 3, "seed": 0})
+    if model == "mlp":
+        doc["model"] = {
+            "type": "mlp", "family": "normal", "sigma": 1.0, "cost": 1.0,
+            "mlp": {"hidden_sizes": [6], "max_epochs": 15, "batch_size": 32, "seed": 2},
+        }
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--with-oracle"])
+    data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.dirname(os.path.dirname(linear.__file__)),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    written = {}
+    for cores in (2, 1):
+        out = tmp_path / f"cores{cores}"
+        argv = ["cv", "--data", data, "--config", cfg, "--out", str(out), "--eval-data", data]
+        proc = subprocess.run(
+            [sys.executable, "-c", CV_ON_CORES, str(cores), *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == str(cores)  # fit workers
+        written[cores] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written[2]) == ["cv_result.json", "frontier.csv", "truth_frontier.csv"]
+    assert written[2] == written[1]
 
 
 @pytest.mark.parametrize(
@@ -923,27 +996,11 @@ def test_cv_rejects_a_model_it_cannot_tune(tmp_path, capsys, model, message):
     assert not out.exists()
 
 
-class RecordingPool:
-    """A serial stand-in for ProcessPoolExecutor that records its worker counts."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
 @pytest.mark.parametrize("jobs, replications, pools", [(8, 2, [2]), (8, 1, []), (1, 2, [])])
 def test_table2_pool_has_no_more_workers_than_replications(
-    tmp_path, monkeypatch, jobs, replications, pools
+    tmp_path, monkeypatch, pool_sizes, jobs, replications, pools
 ):
-    monkeypatch.setattr(RecordingPool, "made", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # only table2's own pool
     cfg = {
         "table2": {
             "replications": replications,
@@ -955,7 +1012,7 @@ def test_table2_pool_has_no_more_workers_than_replications(
         }
     }
     experiments.run_table2(cfg, str(tmp_path), jobs=jobs)
-    assert RecordingPool.made == pools
+    assert pool_sizes == pools
     assert len((tmp_path / "table2_runs.csv").read_text().splitlines()) == 1 + 6 * replications + 3
 
 

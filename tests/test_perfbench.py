@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from policycate import linear
+from policycate import linear, selection
 from policycate.dgp import SimpleDgp, gen_simple
 from policycate.experiments import TABLE2_DEFAULTS
 from policycate.selection import SigmaGrid, kfold_cv, linear_fit_function
@@ -87,6 +87,7 @@ def test_linear_cv_on_design_rows_scores_through_predict_cate(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(linear, "predict_cate", spy)
+    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # a spy predictor does not pickle
     sample = gen_simple(SimpleDgp(), 200, seed=5)
     td = linear.transform_outcomes(sample.dataset)
     td = td.with_design(linear.build_design(sample.dataset.x, ["1", "x1"]))

@@ -1,16 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from policycate.dgp import SimpleDgp, gen_simple
-from policycate.errors import ValidationError
+from policycate import selection
+from policycate.errors import SingularDesignError, ValidationError
 from policycate.evaluation import evaluate_model
 from policycate.linear import build_design, ols_solution, transform_outcomes
 from policycate.mlp import MlpConfig
 from policycate.selection import (
+    BLAS_THREAD_VARS,
     DEFAULT_SIGMA_GRID,
     SigmaGrid,
+    fit_workers,
+    fork_map,
     frontier_sweep,
     kfold_cv,
     linear_fit_function,
@@ -165,3 +170,78 @@ def test_frontier_point_is_evaluate_models_report_bit_for_bit(misspecified_probl
         predictor = fit(raw, spec_for_sigma("normal", 1.0, point.sigma))
         report = evaluate_model(predictor, eval_sample, 1.0, True)
         assert (point.mse.hex(), point.profit.hex()) == (report.mse.hex(), report.profit.hex())
+
+
+# ------------------------------------------------------------- forked fits
+
+
+def test_fork_map_returns_results_in_order_inline_or_forked(pool_sizes):
+    assert fork_map(lambda i: (i * i, os.getpid()), 5, 1) == [(i * i, os.getpid()) for i in range(5)]
+    forked = fork_map(lambda i: (i * i, os.getpid()), 5, 8)
+    assert [r for r, _ in forked] == [i * i for i in range(5)]
+    assert os.getpid() not in {pid for _, pid in forked}
+    assert pool_sizes == [5]  # no more workers than tasks
+
+
+def test_a_fork_map_inside_a_worker_runs_inline():
+    outer = fork_map(lambda i: (os.getpid(), fork_map(lambda j: os.getpid(), 2, 2)), 2, 2)
+    for pid, inner in outer:
+        assert pid != os.getpid() and inner == [pid, pid]
+
+
+def test_a_failure_in_a_worker_keeps_its_type_and_message():
+    def fit(i):
+        if i == 1:
+            raise SingularDesignError("design matrix is rank deficient")
+        return i
+
+    with pytest.raises(SingularDesignError, match="^design matrix is rank deficient$"):
+        fork_map(fit, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "env, workers",
+    [
+        ({}, 1),  # BLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OMP_NUM_THREADS": "3"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),  # not a positive integer: BLAS's default
+    ],
+)
+def test_fit_workers_divides_usable_cores_by_blas_threads(monkeypatch, env, workers):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert fit_workers() == workers
+
+
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+def test_forked_cv_and_frontier_equal_the_inline_run_bit_for_bit(
+    misspecified_problem, monkeypatch, pool_sizes, model
+):
+    sample, td = misspecified_problem
+    raw = transform_outcomes(sample.dataset)
+    eval_sample = gen_simple(SimpleDgp(), 2_000, seed=303)
+    if model == "mlp":
+        fit = mlp_fit_function(MlpConfig(hidden_sizes=(4,), max_epochs=3, seed=1))
+    else:
+        fit = linear_fit_function(["1", "x1"])
+    grid = SigmaGrid((0.25, 1.0, math.inf))
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(selection, "fit_workers", lambda: workers)
+        cv = kfold_cv(raw, grid, 3, "normal", fit, seed=2, cost=1.0)
+        points = frontier_sweep(raw, grid, eval_sample, fit, "normal", cost=1.0)
+        runs[workers] = (
+            [(s.sigma, s.fold, s.mse_proxy.hex(), s.profit.hex()) for s in cv.fold_scores],
+            [(p.sigma, p.mse.hex(), p.profit.hex()) for p in cv.frontier],
+            (cv.sigma_mse, cv.sigma_profit),
+            [(p.sigma, p.mse.hex(), p.profit.hex()) for p in points],
+        )
+    assert pool_sizes == [2, 2]  # the forked run's CV and sweep
+    assert runs[2] == runs[1]
