@@ -31,12 +31,18 @@ from . import dataio, linear, mlp, rng
 from .dgp import ComplexDgp, LabeledSample, SimpleDgp, generate
 from .errors import ConfigError, DataError, ValidationError, require
 from .evaluation import evaluate_model
-from .linear import LinearFitConfig, build_design, fit_linear, parse_design, transform_outcomes
+from .linear import (
+    LinearFitConfig,
+    build_design,
+    fit_linear,
+    fork_map,
+    parse_design,
+    transform_outcomes,
+)
 from .mlp import DirectPolicyConfig, MlpConfig, predict_mlp, train_direct_policy, train_surrogate_mlp
 from .selection import (
     DEFAULT_SIGMA_GRID,
     SigmaGrid,
-    fork_map,
     frontier_sweep,
     kfold_cv,
     linear_fit_function,

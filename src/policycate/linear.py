@@ -32,11 +32,22 @@ rows) and checks its width.
 
 Scoring walks its rows in the blocks of ``row_blocks``, which
 ``predict_rows`` here, the network scoring in ``policycate.mlp`` and the
-dataset writer in ``policycate.dataio`` share.
+dataset writer in ``policycate.dataio`` share.  ``fork_map`` over
+``fit_workers()`` processes is the one way work fans out: CV and frontier
+fits and ``table2``'s replications in ``policycate.selection`` and
+``policycate.experiments``, and large network scorings in
+``policycate.mlp``.  Linear scoring never fans out: a block costs one
+product and one ``unstandardize``.  Forked, it lost below about 1e6 rows
+(10.1 against 2.8 ms at two blocks) and saved only 10 ms at 1e6 rows, the
+largest sample the package scores (48 against 58 ms; one BLAS thread,
+2-core x86 VM).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -470,6 +481,70 @@ def row_blocks(n):
         stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
         yield start, stop
         start = stop
+
+
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fit_workers():
+    """How many processes fits and network scoring use: usable cores // BLAS threads.
+
+    BLAS threads are the first positive integer among
+    :data:`BLAS_THREAD_VARS`, else the usable core count (OpenBLAS's own
+    default), so with none of them set this is 1 and BLAS keeps every core.
+    Callers look it up here at call time, so replacing it reaches them all.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        usable = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return max(1, usable // int(value))
+    return 1
+
+
+_task = None  # a fork_map worker's fn, inherited from the parent
+
+
+def _adopt(fn):
+    global _task
+    _task = fn
+
+
+def _run_task(i):
+    return _task(i)
+
+
+def fork_map(fn, n, workers):
+    """``[fn(i) for i in range(n)]``, over up to ``workers`` forked processes.
+
+    A worker inherits ``fn`` and all it refers to, so closures need not
+    pickle: only the index goes in, and only the result, which must pickle,
+    comes back.  It runs inline with one worker, inside a worker (pools
+    never nest) and where fork is unavailable.  A forked worker inherits the
+    caller's BLAS set-up, so the results are those of the inline run.
+    """
+    workers = min(workers, n)
+    if (
+        workers <= 1
+        or multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return [fn(i) for i in range(n)]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(fn,),
+    )
+    try:
+        return list(pool.map(_run_task, range(n)))
+    finally:
+        # a failed task must not leave queued work or live workers
+        pool.shutdown(cancel_futures=True)
 
 
 def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):

@@ -4,12 +4,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from policycate import selection
+from policycate import linear
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of each pool that ``selection.fork_map`` starts, in order."""
+    """The worker count of each pool that ``linear.fork_map`` starts, in order."""
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -17,5 +17,19 @@ def pool_sizes(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(selection, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(linear, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` makes ``linear.fit_workers()`` return ``n`` for the rest of the test.
+
+    Fits, sweeps and network scoring all read the count there, so one call
+    sets it for every caller.
+    """
+
+    def set_count(n):
+        monkeypatch.setattr(linear, "fit_workers", lambda: n)
+
+    return set_count

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import cli, dataio, errors, experiments, linear, selection
+from policycate import cli, dataio, errors, experiments, linear, mlp
 from policycate.cli import main
 from policycate.dgp import ComplexDgp, SimpleDgp, generate
 from policycate.errors import ConfigError
@@ -564,6 +564,26 @@ def test_evaluate_network_file_that_overflows_exits_3(tmp_path, capsys, saved_ne
     assert not out.exists()
 
 
+def test_evaluate_network_file_that_overflows_exits_3_when_scoring_fans_out(
+    tmp_path, monkeypatch, capsys, saved_network, pool_sizes, workers
+):
+    saved, doc = saved_network
+    model = tmp_path / "huge_net.json"
+    model.write_text(json.dumps({
+        **saved,
+        "weights": [[1e300] * len(w) for w in saved["weights"]],
+        "biases": [[1e300] * len(b) for b in saved["biases"]],
+    }))
+    workers(2)
+    monkeypatch.setattr(mlp, "FORK_MIN_MADDS", 0)  # the small network fans out too
+    cfg = write_config(tmp_path / "cfg.json", {**doc, "evaluation": {"n": 40_000, "seed": 5}})
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert "data error: " + str(model) + ": non-finite predictions" in capsys.readouterr().err
+    assert not out.exists()
+    assert pool_sizes == [2]  # the scoring's own pool
+
+
 @pytest.fixture(scope="module")
 def saved_linear(tmp_path_factory):
     """A linear fit on ``["1", "x1"]`` as saved, and a config to score it."""
@@ -811,7 +831,7 @@ def test_cv_rerun_is_byte_identical(tmp_path):
     assert (d1 / "frontier.csv").read_bytes() == (d2 / "frontier.csv").read_bytes()
 
 
-def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
+def test_cv_honours_model_max_iters(tmp_path, monkeypatch, workers):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     sim_dir = tmp_path / "sim"
     main(["simulate", "--config", cfg, "--out", str(sim_dir)])
@@ -822,7 +842,7 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
     capped_cfg = write_config(tmp_path / "capped.json", doc)
     caps = []
     real_fit = linear.fit_linear
-    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # the spy records in this process
+    workers(1)  # the spy records in this process
 
     def spy(td, fit_cfg):
         caps.append(fit_cfg.max_iters)
@@ -836,7 +856,9 @@ def test_cv_honours_model_max_iters(tmp_path, monkeypatch):
     assert (capped_out / "cv_result.json").read_bytes() != default
 
 
-def test_a_fit_failing_in_a_worker_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+def test_a_fit_failing_in_a_worker_exits_4_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, workers
+):
     cfg = write_config(tmp_path / "cfg.json", base_config())
     main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
     data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
@@ -848,7 +870,7 @@ def test_a_fit_failing_in_a_worker_exits_4_and_writes_nothing(tmp_path, monkeypa
         return real_fit(td, fit_cfg)
 
     monkeypatch.setattr(linear, "fit_linear", fails_in_a_worker)
-    monkeypatch.setattr(selection, "fit_workers", lambda: 2)
+    workers(2)  # the fits run in workers, where the spy fails
     capsys.readouterr()
     out = tmp_path / "cv"
     assert main(["cv", "--data", data, "--config", cfg, "--out", str(out)]) == 4
@@ -856,20 +878,37 @@ def test_a_fit_failing_in_a_worker_exits_4_and_writes_nothing(tmp_path, monkeypa
     assert not out.exists()
 
 
-# runs `policycate cv` on the first N usable cores, and first prints the fit workers
-CV_ON_CORES = """
+# runs `policycate` on the first N usable cores, and first prints the fit workers
+ON_CORES = """
 import os, sys
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])
-from policycate import cli, selection
-print(selection.fit_workers(), flush=True)
+from policycate import cli, linear
+print(linear.fit_workers(), flush=True)
 sys.exit(cli.main(sys.argv[2:]))
 """
-
-
-@pytest.mark.skipif(
+needs_two_cores = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs two usable cores",
 )
+
+
+def run_on_cores(cores, argv):
+    """``policycate argv`` on ``cores`` cores with one BLAS thread; the fit workers it saw."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.dirname(os.path.dirname(linear.__file__)),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", ON_CORES, str(cores), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[0])
+
+
+@needs_two_cores
 @pytest.mark.parametrize("model", ["linear", "mlp"])
 def test_cv_output_is_the_same_forked_or_inline(tmp_path, model):
     # one BLAS thread: on two cores the fits fan out over two workers, on one
@@ -883,24 +922,35 @@ def test_cv_output_is_the_same_forked_or_inline(tmp_path, model):
     cfg = write_config(tmp_path / "cfg.json", doc)
     main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--with-oracle"])
     data = str(tmp_path / "sim" / "simple_rep000_seed7.csv")
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.path.dirname(os.path.dirname(linear.__file__)),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
-    }
     written = {}
     for cores in (2, 1):
         out = tmp_path / f"cores{cores}"
         argv = ["cv", "--data", data, "--config", cfg, "--out", str(out), "--eval-data", data]
-        proc = subprocess.run(
-            [sys.executable, "-c", CV_ON_CORES, str(cores), *argv],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == str(cores)  # fit workers
+        assert run_on_cores(cores, argv) == cores  # fit workers
         written[cores] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert sorted(written[2]) == ["cv_result.json", "frontier.csv", "truth_frontier.csv"]
+    assert written[2] == written[1]
+
+
+@needs_two_cores
+def test_evaluate_output_is_the_same_forked_or_inline(tmp_path):
+    # one BLAS thread: on two cores the network's blocks fan out over two
+    # workers, on one core they are scored inline
+    td = linear.transform_outcomes(generate(ComplexDgp(), 400, seed=3).dataset)
+    net = MlpConfig(hidden_sizes=(64, 64), activation="tanh", max_epochs=2, seed=3)
+    model = train_surrogate_mlp(td, spec_for_sigma("normal", 1.0, 1.0), net)
+    path = str(tmp_path / "net.json")
+    dataio.save_mlp_model(path, model)
+    n = 50_000  # four blocks
+    assert n * sum(w.size for w in model.weights) >= mlp.FORK_MIN_MADDS
+    doc = {"dgp": {"name": "complex", "n": 400, "seed": 3}, "evaluation": {"n": n, "seed": 5}}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    written = {}
+    for cores in (2, 1):
+        out = tmp_path / f"cores{cores}.csv"
+        argv = ["evaluate", "--model", path, "--config", cfg, "--out", str(out)]
+        assert run_on_cores(cores, argv) == cores  # fit workers
+        written[cores] = out.read_bytes()
     assert written[2] == written[1]
 
 
@@ -998,9 +1048,9 @@ def test_cv_rejects_a_model_it_cannot_tune(tmp_path, capsys, model, message):
 
 @pytest.mark.parametrize("jobs, replications, pools", [(8, 2, [2]), (8, 1, []), (1, 2, [])])
 def test_table2_pool_has_no_more_workers_than_replications(
-    tmp_path, monkeypatch, pool_sizes, jobs, replications, pools
+    tmp_path, pool_sizes, workers, jobs, replications, pools
 ):
-    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # only table2's own pool
+    workers(1)  # only table2's own pool
     cfg = {
         "table2": {
             "replications": replications,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import dataio, selection
+from policycate import dataio
 from policycate.dgp import (
     ComplexDgp,
     LabeledSample,
@@ -263,8 +263,8 @@ def _row_rule_entry_points(tmp_path):
 
 
 @pytest.mark.parametrize("entry_point", sorted(_row_rule_entry_points(None)))
-def test_every_per_row_vector_follows_one_rule(tmp_path, monkeypatch, entry_point):
-    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # the fits return local closures
+def test_every_per_row_vector_follows_one_rule(tmp_path, workers, entry_point):
+    workers(1)  # the fits return local closures
     argument, call = _row_rule_entry_points(tmp_path)[entry_point]
     flat = call(lambda v: v)
     assert call(lambda v: v.reshape(-1, 1)) == flat  # an (n, 1) column reads as its flat form
@@ -277,8 +277,8 @@ def test_every_per_row_vector_follows_one_rule(tmp_path, monkeypatch, entry_poin
     "entry_point",
     sorted(name for name, (arg, _) in _row_rule_entry_points(None).items() if arg == "predictions"),
 )
-def test_non_finite_predictions_are_rejected(tmp_path, monkeypatch, entry_point):
-    monkeypatch.setattr(selection, "fit_workers", lambda: 1)  # the fits return local closures
+def test_non_finite_predictions_are_rejected(tmp_path, workers, entry_point):
+    workers(1)  # the fits return local closures
     # a NaN prediction scores as "do not treat", and its mse would read NaN
     _, call = _row_rule_entry_points(tmp_path)[entry_point]
 

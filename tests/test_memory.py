@@ -52,7 +52,8 @@ def test_a_subset_holds_its_rows_once():
     assert peak <= 1.25 * held  # (2.0x when the subset copied its rows twice)
 
 
-def test_loaded_linear_model_scores_in_blocks(tmp_path):
+def test_loaded_linear_model_scores_in_blocks(tmp_path, workers):
+    workers(1)  # the block buffers are this process's under any thread setting
     terms = ["1"] + [f"x{j}" for j in range(1, 11)]
     path = tmp_path / "model.json"
     path.write_text(json.dumps({

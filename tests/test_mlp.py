@@ -1,8 +1,11 @@
+import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from policycate import mlp
 from policycate.errors import DimensionError, NonFiniteLossError, ValidationError
 from policycate.linear import (
     BLOCK_ROWS,
@@ -12,6 +15,7 @@ from policycate.linear import (
     predict_cate,
 )
 from policycate.mlp import (
+    FORK_MIN_MADDS,
     DirectPolicyConfig,
     MlpConfig,
     MlpModel,
@@ -372,13 +376,53 @@ def test_blocked_predict_matches_whole_array_pass(activation, hidden, n):
     assert again.tobytes() == got.tobytes()
 
 
-def test_predict_memory_is_bounded_by_the_block():
+def test_predict_memory_is_bounded_by_the_block(pool_sizes, workers):
     model = random_network((64, 64), "tanh", k=10)
     x = np.random.default_rng(0).normal(size=(300_000, 10))
-    tracemalloc.start()
-    try:
+    for count in (1, 2):
+        workers(count)  # inline: the block buffers are this process's; forked: the workers'
+        tracemalloc.start()
+        try:
+            predict_mlp(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shared = 0 if count == 1 else 8 * x.shape[0]  # the output mapping, which is not traced
+        assert peak + shared < 32 * 2**20
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("rows", ["below-floor", "at-floor", "short-last-block"])
+@pytest.mark.parametrize(
+    "hidden, activation", [((64, 64), "tanh"), ((64, 64), "relu"), ((33, 17, 9), "tanh")]
+)
+def test_forked_scoring_equals_the_inline_walk_bit_for_bit(
+    pool_sizes, workers, hidden, activation, rows
+):
+    model = random_network(hidden, activation, k=10)
+    floor = math.ceil(FORK_MIN_MADDS / sum(w.size for w in model.weights))  # rows that fan out
+    n = {"below-floor": floor - 1, "at-floor": floor, "short-last-block": 300_000}[rows]
+    x = np.random.default_rng(n).normal(size=(n, 10))
+    got = {}
+    for count in (1, 2):
+        workers(count)
+        got[count] = [v.hex() for v in predict_mlp(model, x).tolist()]
+    assert got[2] == got[1]
+    assert pool_sizes == ([] if rows == "below-floor" else [2])
+
+
+def test_a_scoring_worker_that_raises_surfaces_in_the_caller(monkeypatch, workers):
+    real_forward = mlp._forward
+
+    def fails_in_a_worker(*args, **kwargs):
+        if multiprocessing.parent_process() is not None:
+            raise FloatingPointError("overflow in a scoring block")
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(mlp, "_forward", fails_in_a_worker)
+    workers(2)
+    model = random_network((64, 64), "tanh", k=10)
+    x = np.random.default_rng(0).normal(size=(60_000, 10))
+    with pytest.raises(FloatingPointError, match="^overflow in a scoring block$"):
         predict_mlp(model, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert multiprocessing.active_children() == []  # no worker outlives the failure

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from policycate.dgp import SimpleDgp, gen_simple
-from policycate import selection
 from policycate.errors import SingularDesignError, ValidationError
 from policycate.evaluation import evaluate_model
-from policycate.linear import build_design, ols_solution, transform_outcomes
-from policycate.mlp import MlpConfig
-from policycate.selection import (
+from policycate.linear import (
     BLAS_THREAD_VARS,
-    DEFAULT_SIGMA_GRID,
-    SigmaGrid,
+    build_design,
     fit_workers,
     fork_map,
+    ols_solution,
+    transform_outcomes,
+)
+from policycate.mlp import MlpConfig
+from policycate.selection import (
+    DEFAULT_SIGMA_GRID,
+    SigmaGrid,
     frontier_sweep,
     kfold_cv,
     linear_fit_function,
@@ -222,7 +225,7 @@ def test_fit_workers_divides_usable_cores_by_blas_threads(monkeypatch, env, work
 
 @pytest.mark.parametrize("model", ["linear", "mlp"])
 def test_forked_cv_and_frontier_equal_the_inline_run_bit_for_bit(
-    misspecified_problem, monkeypatch, pool_sizes, model
+    misspecified_problem, pool_sizes, workers, model
 ):
     sample, td = misspecified_problem
     raw = transform_outcomes(sample.dataset)
@@ -233,11 +236,11 @@ def test_forked_cv_and_frontier_equal_the_inline_run_bit_for_bit(
         fit = linear_fit_function(["1", "x1"])
     grid = SigmaGrid((0.25, 1.0, math.inf))
     runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(selection, "fit_workers", lambda: workers)
+    for count in (1, 2):
+        workers(count)  # inline, then forked
         cv = kfold_cv(raw, grid, 3, "normal", fit, seed=2, cost=1.0)
         points = frontier_sweep(raw, grid, eval_sample, fit, "normal", cost=1.0)
-        runs[workers] = (
+        runs[count] = (
             [(s.sigma, s.fold, s.mse_proxy.hex(), s.profit.hex()) for s in cv.fold_scores],
             [(p.sigma, p.mse.hex(), p.profit.hex()) for p in cv.frontier],
             (cv.sigma_mse, cv.sigma_profit),
