@@ -508,14 +508,13 @@ def _policy_score(predict, cost, x):
     return predict(x) + cost
 
 
-def _table2_fit_rep(args):
+def _table2_fit_rep(rep, params, dgp):
     """One training replication: all fitted models, no evaluation.
 
     Returns ``(rep, models, selected)``: ``models`` lists ``(tag, sigma,
     predictor, is_cate)`` in ``TABLE2_MODEL_ORDER``, with predictors that
     pickle, and ``selected`` is the replication's CV choices as JSON.
     """
-    rep, params, dgp = args
     train_seed = params["train_seed"] + rep
     td, lin_fit, ols = _training_draw(dgp, params["train_n"], train_seed)
     cost = dgp.cost
@@ -569,7 +568,7 @@ def run_table2(cfg, out_dir, jobs=1, replications=None, seed=None):
 
     # fork_map starts no more workers than there are replications
     fitted = fork_map(
-        lambda rep: _table2_fit_rep((rep, params, dgp)), params["replications"], jobs
+        lambda rep: _table2_fit_rep(rep, params, dgp), params["replications"], jobs
     )
     for rep, models, rep_selected in fitted:
         score(rep, models)

@@ -30,21 +30,21 @@ of anything it leaves writable.  ``row_vector`` reads every per-row vector
 ``row_matrix`` reads every row matrix (covariates, a design, a model's input
 rows) and checks its width.
 
-Scoring walks its rows in the blocks of ``row_blocks``, which
-``predict_rows`` here, the network scoring in ``policycate.mlp`` and the
-dataset writer in ``policycate.dataio`` share.  ``fork_map`` over
-``fit_workers()`` processes is the one way work fans out: CV and frontier
-fits and ``table2``'s replications in ``policycate.selection`` and
-``policycate.experiments``, and large network scorings in
-``policycate.mlp``.  Linear scoring never fans out: a block costs one
-product and one ``unstandardize``.  Forked, it lost below about 1e6 rows
-(10.1 against 2.8 ms at two blocks) and saved only 10 ms at 1e6 rows, the
-largest sample the package scores (48 against 58 ms; one BLAS thread,
-2-core x86 VM).
+Rows are walked in the blocks of ``row_blocks``, which the dataset writer
+in ``policycate.dataio`` shares.  ``fork_map`` over ``fit_workers()``
+processes is the one way work fans out: CV and frontier fits, ``table2``'s
+replications and large scorings.  ``score_rows`` is the one scoring walk,
+for ``predict_rows`` and the network scoring in ``policycate.mlp``; it owns
+the fan-out floor :data:`FORK_MIN_MADDS`, the output array and the
+floating-point policy.  Linear scoring stays below the floor at every size
+the package scores (1e6 rows of 11 terms is 1.1e7): forked, it lost below
+about 1e6 rows (10.1 against 2.8 ms at two blocks) and saved 10 ms at 1e6
+rows (48 against 58 ms; one BLAS thread, 2-core x86 VM).
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +69,14 @@ ARMIJO_SHRINK = 0.5
 # Rows per scoring block.  Not below the largest split table2 trains on
 # (8,500 rows), so each per-epoch network objective there is a single block.
 BLOCK_ROWS = 16384
+# A scoring fans out over ``fit_workers()`` processes from this many
+# multiply-adds on: rows times those of a row (a design's width, a network's
+# sum of fan_in * fan_out).  Below it a pool costs more than the second core
+# saves: with one BLAS thread on a 2-core x86 VM, the 10-64-64-1 network took
+# 18 ms inline and 20 ms forked at two blocks (1.6e8), 35 and 27 ms at three
+# (2.4e8), and 0.50 and 0.30 s at 1e6 rows; a 10-16-1 relu network lost up to
+# 131,072 rows (2.3e7) and at 1e6 rows (1.8e8) took 61 ms inline, 57 forked.
+FORK_MIN_MADDS = 2e8
 
 
 def read_only(a):
@@ -488,7 +496,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def fit_workers():
-    """How many processes fits and network scoring use: usable cores // BLAS threads.
+    """How many processes fits and large scorings use: usable cores // BLAS threads.
 
     BLAS threads are the first positive integer among
     :data:`BLAS_THREAD_VARS`, else the usable core count (OpenBLAS's own
@@ -547,24 +555,50 @@ def fork_map(fn, n, workers):
         pool.shutdown(cancel_futures=True)
 
 
+def score_rows(n, madds_per_row, score_run):
+    """The ``n`` scores that ``score_run(blocks, out)`` writes, one block at a time.
+
+    ``score_run`` writes each ``(start, stop)`` block of :func:`row_blocks` it
+    is given into ``out[start:stop]``, in buffers of its own.  From
+    :data:`FORK_MIN_MADDS` (``n * madds_per_row``) on, with more than one
+    ``fit_workers()``, each forked worker takes one contiguous run of the
+    blocks and writes into ``out``, one shared anonymous mapping, so nothing
+    is pickled back.  The blocks and their code are the inline walk's, so the
+    scores are bitwise its.  Overflow is not reported: callers check finiteness.
+    """
+    blocks = list(row_blocks(n))
+    workers = 1
+    if n * madds_per_row >= FORK_MIN_MADDS:
+        workers = min(fit_workers(), len(blocks))
+    out = np.empty(n) if workers == 1 else np.frombuffer(mmap.mmap(-1, 8 * n))  # MAP_SHARED
+    runs = np.array_split(blocks, workers)
+
+    def run(i):
+        with np.errstate(over="ignore", invalid="ignore"):
+            score_run(runs[i], out)
+
+    fork_map(run, workers, workers)
+    return out
+
+
 def predict_rows(theta, spec: sg.SurrogateSpec, x, design=None):
-    """Money-scale scores ``spec.unstandardize(xd @ theta)``, one block at a time.
+    """Money-scale scores ``spec.unstandardize(xd @ theta)``, through :func:`score_rows`.
 
     ``xd`` is ``build_design(x, design)`` for raw rows ``x``, or ``x`` itself
-    when ``design`` is None.  The width is checked once, before any block;
-    then each block of :func:`row_blocks` is built, multiplied and written
-    into the one output array, so temporaries grow with the block, not with
-    the row count.  The result equals a one-thread whole-array product
-    bitwise.
+    when ``design`` is None.  The width is checked once, before any block is
+    built and multiplied, so temporaries grow with the block, not with the
+    row count.  The result equals a one-thread whole-array product bitwise.
     """
     theta = np.asarray(theta, dtype=float)
     x = row_matrix(x)
     row_matrix(x[:0] if design is None else build_design(x[:0], design), theta.shape[0])
-    out = np.empty(x.shape[0])
-    for start, stop in row_blocks(x.shape[0]):
-        xd = x[start:stop] if design is None else build_design(x[start:stop], design)
-        out[start:stop] = spec.unstandardize(xd @ theta)
-    return out
+
+    def score_run(blocks, out):
+        for start, stop in blocks:
+            xd = x[start:stop] if design is None else build_design(x[start:stop], design)
+            out[start:stop] = spec.unstandardize(xd @ theta)
+
+    return score_rows(x.shape[0], theta.shape[0], score_run)
 
 
 def predict_cate(result: LinearFitResult, x_new, design=None):

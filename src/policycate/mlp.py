@@ -31,9 +31,9 @@ weight, no best epoch and no validation objective.
 One forward kernel, ``_forward``, serves SGD steps, per-epoch objectives
 and ``predict_mlp``.  It writes each hidden layer into a buffer the caller
 hands it: fresh batch-sized arrays for a step, views of block-sized buffers
-for scoring, which walks raw rows in ``linear.row_blocks`` blocks so its
-temporaries grow with the block, not with the row count; a large scoring
-fans its blocks out over forked workers (``_scores``).  Backpropagation
+for scoring, where ``_scores`` hands ``linear.score_rows`` the body of one
+run of blocks, so temporaries grow with the block, not with the row count,
+and the walk decides whether the runs fan out.  Backpropagation
 reads each layer's input, its activation ``h`` before inverted dropout
 (Srivastava et al., JMLR 2014) and its mask.  A scoring call on at most
 ``BLOCK_ROWS + 1`` rows is one block and matches a whole-array pass bitwise;
@@ -56,27 +56,17 @@ network trains on a head that needs it.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import linear, rng
+from . import rng
 from . import surrogate as sg
 from .errors import NonFiniteLossError, ValidationError, require
-from .linear import TransformedDataset, fork_map, row_blocks, row_matrix
+from .linear import TransformedDataset, row_matrix, score_rows
 
 _MOMENTUM = 0.9
-# Network scoring fans its blocks out over ``linear.fit_workers()`` processes
-# from this many multiply-adds on: rows times the sum of fan_in * fan_out.
-# Below it a pool costs more than the second core saves.  With one BLAS
-# thread on a 2-core x86 VM, the 10-64-64-1 network took 18 ms inline and
-# 20 ms on two workers at two blocks (1.6e8), 35 and 27 ms at three (2.4e8),
-# and 0.50 and 0.30 s at 1e6 rows.  A 10-16-1 relu network lost up to
-# 131,072 rows (2.3e7), 7.9 against 14.8 ms, and at 1e6 rows (1.8e8) took
-# 61 ms inline and 57 ms forked.
-FORK_MIN_MADDS = 2e8
 ACTIVATIONS = ("relu", "tanh")  # the hidden-layer nonlinearities a network may use
 
 # each MlpConfig field's ``errors.RULES`` kind, also the config schema's ``mlp`` block
@@ -229,45 +219,22 @@ def _forward(weights, biases, activation, a, hidden, dropout_rate=0.0, rng=None)
     return (a @ weights[-1] + biases[-1])[:, 0], a, layers
 
 
-def _score_blocks(weights, biases, activation, x_mean, x_sd, x, blocks, out):
-    """Write the scores of raw rows ``x`` in ``blocks`` into ``out``, in buffers of this call."""
-    rows = max((stop - start for start, stop in blocks), default=0)
-    a_buf = np.empty((rows, x.shape[1]))
-    h_bufs = [np.empty((rows, w.shape[1])) for w in weights[:-1]]
-    for start, stop in blocks:
-        a = a_buf[: stop - start]
-        np.subtract(x[start:stop], x_mean, out=a)
-        np.divide(a, x_sd, out=a)
-        hidden = [h[: stop - start] for h in h_bufs]
-        out[start:stop] = _forward(weights, biases, activation, a, hidden)[0]
+def _scores(weights, biases, activation, x_mean, x_sd, x, spec=None):
+    """Scores of raw rows by ``linear.score_rows``, in money units given a CATE's ``spec``."""
 
+    def score_run(blocks, out):
+        rows = max((stop - start for start, stop in blocks), default=0)
+        a_buf = np.empty((rows, x.shape[1]))
+        h_bufs = [np.empty((rows, w.shape[1])) for w in weights[:-1]]
+        for start, stop in blocks:
+            a = a_buf[: stop - start]
+            np.subtract(x[start:stop], x_mean, out=a)
+            np.divide(a, x_sd, out=a)
+            hidden = [h[: stop - start] for h in h_bufs]
+            scores = _forward(weights, biases, activation, a, hidden)[0]
+            out[start:stop] = scores if spec is None else spec.unstandardize(scores)
 
-def _scores(weights, biases, activation, x_mean, x_sd, x):
-    """Scores of raw rows, one ``row_blocks`` block at a time.
-
-    From :data:`FORK_MIN_MADDS` on, with more than one ``fit_workers()``,
-    each forked worker walks one contiguous run of the blocks in buffers of
-    its own and writes straight into one shared anonymous mapping, so
-    nothing is pickled back.  The blocks and their code are those of the
-    inline walk, so the scores are bitwise its.
-    """
-    n = x.shape[0]
-    blocks = list(row_blocks(n))
-    workers = 1
-    if n * sum(w.size for w in weights) >= FORK_MIN_MADDS:
-        workers = min(linear.fit_workers(), len(blocks))
-    if workers <= 1:
-        out = np.empty(n)
-        _score_blocks(weights, biases, activation, x_mean, x_sd, x, blocks, out)
-        return out
-    out = np.frombuffer(mmap.mmap(-1, 8 * n))  # MAP_SHARED: the workers' writes reach it
-    runs = np.array_split(blocks, workers)
-    fork_map(
-        lambda i: _score_blocks(weights, biases, activation, x_mean, x_sd, x, runs[i], out),
-        workers,
-        workers,
-    )
-    return out
+    return score_rows(x.shape[0], sum(w.size for w in weights), score_run)
 
 
 def _sum_of_squares(arrays):
@@ -481,7 +448,5 @@ def predict_mlp(model: MlpModel, x_new):
     but is not a CATE (``model.is_cate`` is False).
     """
     x = row_matrix(x_new, model.x_mean.shape[0])
-    scores = _scores(model.weights, model.biases, model.activation, model.x_mean, model.x_sd, x)
-    if model.head == "policy":
-        return scores
-    return np.asarray(model.spec.unstandardize(scores))
+    spec = model.spec if model.is_cate else None
+    return _scores(model.weights, model.biases, model.activation, model.x_mean, model.x_sd, x, spec)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import cli, dataio, errors, experiments, linear, mlp
+from policycate import cli, dataio, errors, experiments, linear
 from policycate.cli import main
 from policycate.dgp import ComplexDgp, SimpleDgp, generate
 from policycate.errors import ConfigError
@@ -547,41 +547,66 @@ def test_evaluate_malformed_network_file_exits_3(tmp_path, capsys, saved_network
     assert not out.exists()
 
 
+# a finite model file whose scores overflow exits 3 naming the file, and
+# numpy's overflow warning, raised as an error here, never fires: the scoring
+# walk leaves the finiteness check to the evaluation
+def huge_network(saved):
+    return {
+        **saved,
+        "weights": [[1e300] * len(w) for w in saved["weights"]],
+        "biases": [[1e300] * len(b) for b in saved["biases"]],
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluate_network_file_that_overflows_exits_3(tmp_path, capsys, saved_network):
     # every weight and bias finite, yet the relu network's scores overflow;
     # this exited 2 as a config error without naming the file
     saved, doc = saved_network
     model = tmp_path / "huge_net.json"
-    model.write_text(json.dumps({
-        **saved,
-        "weights": [[1e300] * len(w) for w in saved["weights"]],
-        "biases": [[1e300] * len(b) for b in saved["biases"]],
-    }))
+    model.write_text(json.dumps(huge_network(saved)))
     cfg = write_config(tmp_path / "cfg.json", doc)
     out = tmp_path / "r.csv"
     assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
-    assert "data error: " + str(model) + ": non-finite predictions" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"data error: {model}: non-finite predictions\n"
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluate_network_file_that_overflows_exits_3_when_scoring_fans_out(
     tmp_path, monkeypatch, capsys, saved_network, pool_sizes, workers
 ):
     saved, doc = saved_network
     model = tmp_path / "huge_net.json"
-    model.write_text(json.dumps({
-        **saved,
-        "weights": [[1e300] * len(w) for w in saved["weights"]],
-        "biases": [[1e300] * len(b) for b in saved["biases"]],
-    }))
+    model.write_text(json.dumps(huge_network(saved)))
     workers(2)
-    monkeypatch.setattr(mlp, "FORK_MIN_MADDS", 0)  # the small network fans out too
+    monkeypatch.setattr(linear, "FORK_MIN_MADDS", 0)  # the small network fans out too
     cfg = write_config(tmp_path / "cfg.json", {**doc, "evaluation": {"n": 40_000, "seed": 5}})
     out = tmp_path / "r.csv"
     assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
-    assert "data error: " + str(model) + ": non-finite predictions" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"data error: {model}: non-finite predictions\n"
     assert not out.exists()
     assert pool_sizes == [2]  # the scoring's own pool
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_network_file_whose_money_scale_overflows_exits_3(
+    tmp_path, capsys, saved_network
+):
+    # the standardized scores are finite; sigma 2 takes them past the largest float
+    saved, doc = saved_network
+    model = tmp_path / "big_net.json"
+    model.write_text(json.dumps({
+        **saved,
+        "sigma": 2.0,
+        "weights": [[0.0] * len(w) for w in saved["weights"]],
+        "biases": [[0.0] * len(b) for b in saved["biases"][:-1]] + [[1.5e308]],
+    }))
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {model}: non-finite predictions\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -597,6 +622,26 @@ def saved_linear(tmp_path_factory):
     dataio.save_linear_fit(path, fit, design=design)
     doc = {"dgp": {"name": "simple", "n": 300, "seed": 7}, "evaluation": {"n": 500, "seed": 5}}
     return json.loads(path.read_text()), doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fans_out", [False, True], ids=["inline", "fanned-out"])
+def test_evaluate_linear_file_that_overflows_exits_3(
+    tmp_path, monkeypatch, capsys, saved_linear, pool_sizes, workers, fans_out
+):
+    # theta is finite, yet x' theta overflows on the draw's rows
+    saved, doc = saved_linear
+    model = tmp_path / "huge_linear.json"
+    model.write_text(json.dumps({**saved, "theta": [1e308] * len(saved["theta"])}))
+    if fans_out:
+        workers(2)
+        monkeypatch.setattr(linear, "FORK_MIN_MADDS", 0)  # linear scoring fans out too
+    cfg = write_config(tmp_path / "cfg.json", {**doc, "evaluation": {"n": 40_000, "seed": 5}})
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--model", str(model), "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {model}: non-finite predictions\n"
+    assert not out.exists()
+    assert pool_sizes == ([2] if fans_out else [])
 
 
 # a design the term grammar rejects, whatever the rows; each exited 2 without
@@ -942,7 +987,7 @@ def test_evaluate_output_is_the_same_forked_or_inline(tmp_path):
     path = str(tmp_path / "net.json")
     dataio.save_mlp_model(path, model)
     n = 50_000  # four blocks
-    assert n * sum(w.size for w in model.weights) >= mlp.FORK_MIN_MADDS
+    assert n * sum(w.size for w in model.weights) >= linear.FORK_MIN_MADDS
     doc = {"dgp": {"name": "complex", "n": 400, "seed": 3}, "evaluation": {"n": n, "seed": 5}}
     cfg = write_config(tmp_path / "cfg.json", doc)
     written = {}
@@ -1243,7 +1288,7 @@ def test_non_numeric_sigma_is_rejected(tmp_path, capsys):
 
 
 def test_table2_failure_leaves_no_outputs(tmp_path, monkeypatch):
-    def failing_rep(args):
+    def failing_rep(rep, params, dgp):
         raise RuntimeError("replication failed")
 
     monkeypatch.setattr(experiments, "_table2_fit_rep", failing_rep)

@@ -106,6 +106,34 @@ def test_row_matrices_have_one_reader():
     assert sum(p.read_text().count("features, model expects") for p in files) == 1
 
 
+def imported_modules(source):
+    """The dotted name of every module ``source`` imports, and of every name it imports from one."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_module_scan_finds_each_form():
+    source = "import mmap\nfrom concurrent import futures\nfrom . import linear\n"
+    assert imported_modules(source) == {"mmap", "concurrent.futures"}
+
+
+def test_scoring_and_fits_fan_out_in_one_module():
+    # linear.fork_map starts every pool and linear.score_rows maps every
+    # shared output; a second pool or mapping elsewhere fails here
+    def fans_out(path):
+        return any(
+            name.split(".")[0] == "mmap" or name.startswith("concurrent.futures")
+            for name in imported_modules(path.read_text())
+        )
+
+    assert [p.name for p in sorted(PACKAGE_DIR.glob("*.py")) if fans_out(p)] == ["linear.py"]
+
+
 def loaded_after(code, modules):
     """Those of ``modules`` that are in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
     code = f"{code}\nimport sys\nprint([m for m in {list(modules)!r} if m in sys.modules])"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policycate import surrogate
+from policycate import linear, surrogate
 from policycate.dgp import ComplexDgp, SimpleDgp, gen_complex, gen_simple
 from policycate.errors import (
     DimensionError,
@@ -556,6 +556,25 @@ def test_blocked_scoring_checks_the_width_first(n):
     with pytest.raises(DimensionError):  # a term past the last column
         predict_rows(np.ones(2), spec, np.ones((n, 2)), ["1", "x3"])
     assert predict_rows(np.ones(3), spec, np.ones((n, 3))).shape == (n,)
+
+
+@pytest.mark.parametrize("design, k", [(WIDE_TERMS, 10), (None, 11)], ids=["design", "no-design"])
+def test_forked_linear_scoring_equals_the_inline_walk_bit_for_bit(
+    monkeypatch, pool_sizes, workers, design, k
+):
+    x = np.random.default_rng(k).uniform(-1.0, 2.0, size=(3 * B + 5, k))  # a short last block
+    theta = np.random.default_rng(k + 1).normal(size=11)
+    spec = SurrogateSpec.normal(1.0, 0.5)
+    workers(2)
+    predict_rows(theta, spec, x, design)
+    assert pool_sizes == []  # below the floor, as every linear scoring is
+    monkeypatch.setattr(linear, "FORK_MIN_MADDS", 0)
+    got = {}
+    for count in (1, 2):
+        workers(count)
+        got[count] = [v.hex() for v in predict_rows(theta, spec, x, design).tolist()]
+    assert got[2] == got[1]
+    assert pool_sizes == [2]
 
 
 def test_predict_rows_rejects_an_empty_design():

@@ -9,13 +9,13 @@ from policycate import mlp
 from policycate.errors import DimensionError, NonFiniteLossError, ValidationError
 from policycate.linear import (
     BLOCK_ROWS,
+    FORK_MIN_MADDS,
     LinearFitConfig,
     TransformedDataset,
     fit_linear,
     predict_cate,
 )
 from policycate.mlp import (
-    FORK_MIN_MADDS,
     DirectPolicyConfig,
     MlpConfig,
     MlpModel,
